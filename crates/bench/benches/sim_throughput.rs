@@ -1,6 +1,6 @@
 //! Raw simulator throughput (retired instructions per second): the fast
-//! engine — with superinstruction fusion off, default, and aggressive —
-//! vs the retained seed engine (`binpart_mips::reference`), plus the cost
+//! engine — with superinstruction fusion on (the default) and off — vs
+//! the retained seed engine (`binpart_mips::reference`), plus the cost
 //! of each [`Profiler`] mode.
 //!
 //! The workload is the full `(benchmark, OptLevel)` matrix — the exact set
@@ -16,8 +16,9 @@
 //!
 //! `cargo bench -p binpart-bench --bench sim_throughput -- --smoke` runs
 //! the CI perf smoke instead: one pass over the matrix per engine
-//! configuration, asserting that fusion does not lose throughput and that
-//! `BENCH_sim.json` (if present) carries no null fields.
+//! configuration, asserting that fusion and superblocks do not lose
+//! throughput and that `BENCH_sim.json` (if present) carries no null
+//! fields.
 
 use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
@@ -60,11 +61,10 @@ fn run_fast(bins: &[Binary], fusion: FusionConfig) -> u64 {
     .sum()
 }
 
-/// The superblock translation backend over aggressive fusion (the shipping
-/// fast configuration; see `SimConfig::superblocks`).
+/// The superblock translation backend over default fusion (the fastest
+/// configuration; see `SimConfig::superblocks`).
 fn run_superblock(bins: &[Binary]) -> u64 {
     let config = SimConfig {
-        fusion: FusionConfig::Aggressive,
         superblocks: true,
         ..SimConfig::default()
     };
@@ -79,9 +79,9 @@ fn run_superblock(bins: &[Binary]) -> u64 {
     .sum()
 }
 
-fn run_fast_profiled(bins: &[Binary], fusion: FusionConfig) -> u64 {
+fn run_fast_profiled(bins: &[Binary]) -> u64 {
     par_map(bins, |b| {
-        Machine::with_config(std::hint::black_box(b), sim_config(fusion))
+        Machine::new(std::hint::black_box(b))
             .unwrap()
             .run()
             .unwrap()
@@ -91,10 +91,10 @@ fn run_fast_profiled(bins: &[Binary], fusion: FusionConfig) -> u64 {
     .sum()
 }
 
-fn run_fast_blockcount(bins: &[Binary], fusion: FusionConfig) -> u64 {
+fn run_fast_blockcount(bins: &[Binary]) -> u64 {
     par_map(bins, |b| {
         let mut prof = BlockCountProfiler::new();
-        Machine::with_config(std::hint::black_box(b), sim_config(fusion))
+        Machine::new(std::hint::black_box(b))
             .unwrap()
             .run_with(&mut prof)
             .unwrap()
@@ -138,26 +138,23 @@ fn bench(c: &mut Criterion) {
         b.iter(|| run_fast(&all_bins, FusionConfig::Off))
     });
     group.bench_function("matrix_fused_unprofiled", |b| {
-        b.iter(|| run_fast(&all_bins, FusionConfig::Default))
-    });
-    group.bench_function("matrix_fused_aggressive_unprofiled", |b| {
         b.iter(|| run_fast(&all_bins, FusionConfig::Aggressive))
     });
     group.bench_function("matrix_superblock_unprofiled", |b| {
         b.iter(|| run_superblock(&all_bins))
     });
     group.bench_function("matrix_fused_profiled_full", |b| {
-        b.iter(|| run_fast_profiled(&all_bins, FusionConfig::Default))
+        b.iter(|| run_fast_profiled(&all_bins))
     });
     group.bench_function("matrix_fused_profiled_blockcount", |b| {
-        b.iter(|| run_fast_blockcount(&all_bins, FusionConfig::Default))
+        b.iter(|| run_fast_blockcount(&all_bins))
     });
     group.bench_function("matrix_reference_seed", |b| {
         b.iter(|| run_reference(&all_bins))
     });
     group.finish();
 
-    // Per-level slices: unfused vs aggressive-fused vs seed, so the
+    // Per-level slices: unfused vs fused vs seed, so the
     // dispatch-bound (-O1+) and memory-bound (-O0) regimes stay visible.
     let mut group = c.benchmark_group("sim_throughput_by_level");
     group.sample_size(10);
@@ -177,8 +174,8 @@ fn bench(c: &mut Criterion) {
 }
 
 /// CI perf smoke: a single timed pass per configuration over the full
-/// matrix (best of three), asserting the fusion layer never loses
-/// throughput and the tracked perf snapshot has no holes.
+/// matrix (best of three), asserting neither fusion nor the superblock
+/// engine loses throughput and the tracked perf snapshot has no holes.
 fn smoke() {
     let (bins, total): (Vec<Binary>, u64) = {
         let mut all = Vec::new();
@@ -196,23 +193,21 @@ fn smoke() {
         total as f64 / best_s
     };
     let unfused = best_ips(&|| run_fast(&bins, FusionConfig::Off));
-    let fused = best_ips(&|| run_fast(&bins, FusionConfig::Default));
-    let aggressive = best_ips(&|| run_fast(&bins, FusionConfig::Aggressive));
+    let fast = best_ips(&|| run_fast(&bins, FusionConfig::Aggressive));
     let superblock = best_ips(&|| run_superblock(&bins));
     println!(
-        "smoke: unfused {:.0} M/s | fused {:.0} M/s | aggressive {:.0} M/s | superblock {:.0} M/s",
+        "smoke: unfused {:.0} M/s | fast {:.0} M/s | superblock {:.0} M/s",
         unfused / 1e6,
-        fused / 1e6,
-        aggressive / 1e6,
+        fast / 1e6,
         superblock / 1e6
     );
     assert!(
-        fused.max(aggressive) >= unfused,
-        "fusion lost throughput: unfused {unfused:.0}/s, fused {fused:.0}/s, aggressive {aggressive:.0}/s"
+        fast >= unfused,
+        "fusion lost throughput: unfused {unfused:.0}/s, fast {fast:.0}/s"
     );
     assert!(
-        superblock >= fused.max(aggressive),
-        "superblock engine lost throughput: superblock {superblock:.0}/s vs fused {fused:.0}/s / aggressive {aggressive:.0}/s"
+        superblock >= fast,
+        "superblock engine lost throughput: superblock {superblock:.0}/s vs fast {fast:.0}/s"
     );
     // NullTelemetry overhead gate: the telemetry layer is compiled into the
     // flow this build, so superblock throughput must stay within noise of
@@ -240,7 +235,6 @@ fn smoke() {
     }
     binpart_bench::assert_snapshot_columns(&[
         "sim_instrs_per_sec_fast",
-        "sim_instrs_per_sec_fused",
         "sim_instrs_per_sec_unfused",
         "sim_instrs_per_sec_seed",
         "sim_instrs_per_sec_superblock",

@@ -69,13 +69,13 @@ fn main() {
 }
 
 struct SimReport {
-    /// The engine as the flow runs it: default fusion, unprofiled.
+    /// The engine as the flow runs it: default (aggressive) fusion,
+    /// unprofiled.
     fast_ips: f64,
-    /// Fusion off — the PR 1 engine, kept for cross-PR comparability.
+    /// Fusion off — the unfused oracle engine, kept for cross-PR
+    /// comparability.
     unfused_ips: f64,
-    /// Aggressive fusion, unprofiled — the headline dispatch number.
-    fused_ips: f64,
-    /// Aggressive fusion + the superblock trace-cache translation backend
+    /// Default fusion + the superblock trace-cache translation backend
     /// (`SimConfig::superblocks`) — the fastest shipping configuration.
     superblock_ips: f64,
     /// Fraction of dynamic instructions retired inside installed
@@ -83,7 +83,7 @@ struct SimReport {
     trace_cache_hit_rate: f64,
     seed_ips: f64,
     /// Relative cost of the pay-as-you-go block-count profiler vs an
-    /// unprofiled run (default fusion), in percent.
+    /// unprofiled run, in percent.
     blockcount_overhead_pct: f64,
     /// Same for the full profiler (counts + taken + calls + loads/stores).
     full_overhead_pct: f64,
@@ -114,7 +114,7 @@ struct SimReport {
 }
 
 /// Measures raw simulator throughput over the full (benchmark, OptLevel)
-/// matrix: the fast engine (fusion off / default / aggressive, and per
+/// matrix: the fast engine (fusion on / off, superblocks, and per
 /// profiler mode) vs the retained seed engine. Single-threaded on purpose —
 /// the instrs/sec trajectory must be comparable across PRs regardless of
 /// the host's core count.
@@ -147,10 +147,9 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
             })
             .sum()
     };
-    let (fast_s, total) = best(&|| run_unprofiled(FusionConfig::Default));
+    let (fast_s, total) = best(&|| run_unprofiled(FusionConfig::default()));
     let (unfused_s, _) = best(&|| run_unprofiled(FusionConfig::Off));
-    let (fused_s, _) = best(&|| run_unprofiled(FusionConfig::Aggressive));
-    // Superblocks over aggressive fusion, plus trace-cache coverage: what
+    // Superblocks over default fusion, plus trace-cache coverage: what
     // fraction of the matrix's dynamic instructions retired inside an
     // installed trace (fresh machines per pass, so recording cost counts).
     let sb_instrs = std::cell::Cell::new(0u64);
@@ -162,7 +161,6 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
                 let mut m = Machine::with_config(
                     bin,
                     SimConfig {
-                        fusion: FusionConfig::Aggressive,
                         superblocks: true,
                         ..SimConfig::default()
                     },
@@ -233,7 +231,6 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
     SimReport {
         fast_ips: ips(fast_s),
         unfused_ips: ips(unfused_s),
-        fused_ips: ips(fused_s),
         superblock_ips: ips(superblock_s),
         trace_cache_hit_rate: sb_instrs.get() as f64 / total as f64,
         seed_ips: ips(seed_s),
@@ -530,15 +527,14 @@ fn write_bench_json(r: &SimReport) {
         })
         .map_or("null".to_string(), |s: f64| format!("{s:.6}"));
     let json = format!(
-        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_unfused\": {:.0},\n  \"sim_instrs_per_sec_fused\": {:.0},\n  \"sim_instrs_per_sec_superblock\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"fusion_speedup\": {:.3},\n  \"superblock_speedup\": {:.3},\n  \"trace_cache_hit_rate\": {:.3},\n  \"blockcount_profile_overhead_pct\": {:.1},\n  \"full_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
+        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_unfused\": {:.0},\n  \"sim_instrs_per_sec_superblock\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"fusion_speedup\": {:.3},\n  \"superblock_speedup\": {:.3},\n  \"trace_cache_hit_rate\": {:.3},\n  \"blockcount_profile_overhead_pct\": {:.1},\n  \"full_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
         r.fast_ips,
         r.unfused_ips,
-        r.fused_ips,
         r.superblock_ips,
         r.seed_ips,
         r.fast_ips / r.seed_ips,
-        r.fused_ips / r.unfused_ips,
-        r.superblock_ips / r.fused_ips,
+        r.fast_ips / r.unfused_ips,
+        r.superblock_ips / r.fast_ips,
         r.trace_cache_hit_rate,
         r.blockcount_overhead_pct,
         r.full_overhead_pct,
@@ -563,12 +559,11 @@ fn write_bench_json(r: &SimReport) {
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "wrote {path}: fast {:.0} M instrs/s (unfused {:.0}, fused {:.0}, superblock {:.0} = {:.2}x @ {:.0}% trace coverage), seed {:.0} M instrs/s ({:.1}x); blockcount profiling {:+.1}%, full {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
+            "wrote {path}: fast {:.0} M instrs/s (unfused {:.0}, superblock {:.0} = {:.2}x @ {:.0}% trace coverage), seed {:.0} M instrs/s ({:.1}x); blockcount profiling {:+.1}%, full {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
             r.fast_ips / 1e6,
             r.unfused_ips / 1e6,
-            r.fused_ips / 1e6,
             r.superblock_ips / 1e6,
-            r.superblock_ips / r.fused_ips,
+            r.superblock_ips / r.fast_ips,
             r.trace_cache_hit_rate * 100.0,
             r.seed_ips / 1e6,
             r.fast_ips / r.seed_ips,

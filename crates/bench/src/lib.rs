@@ -1,5 +1,5 @@
 //! Experiment runners that regenerate every table and figure of the DATE'05
-//! evaluation (see DESIGN.md section 4 for the experiment index).
+//! evaluation (see `src/bin/README.md` for the experiment index).
 //!
 //! The same runners back the `tables` binary (human-readable paper-vs-
 //! measured output) and the Criterion benches (wall-clock cost of the flow
@@ -9,90 +9,36 @@
 //! Two throughput layers keep table regeneration fast:
 //!
 //! * **Memoization** ([`CompiledSuite`]): every `(benchmark, OptLevel)`
-//!   binary is compiled once, its software profile simulated (lazily) once,
-//!   and its CDFG recovered once per distinct [`DecompileOptions`],
-//!   process-wide, no matter how many experiments (E1/E2/E3/E4/A1/A2/A3)
-//!   ask for it. Experiments that re-run the flow with different
-//!   partitioner/platform options enter at
-//!   [`binpart_core::flow::Flow::run_with_program`] via [`run_cell`] — the
-//!   platform clock and flow options do not affect the software run or the
-//!   recovered CDFG.
+//!   binary is compiled once and gets one process-wide [`StagedFlow`], so
+//!   its software profile, recovered CDFG and per-kernel synthesis are
+//!   each built once no matter how many experiments (E1/E2/E3/E4/A1/A2/A3)
+//!   ask for them. Experiments call [`StagedFlow::evaluate`] (or
+//!   [`StagedFlow::decompile`]) with their own options; the stage caches
+//!   decide what to rebuild.
 //! * **Parallelism**: suite-shaped loops fan out with
 //!   [`binpart_par::par_map`] (work-stealing scoped threads; set
 //!   `BINPART_THREADS=1` to force sequential runs).
 
-use binpart_core::flow::{Flow, FlowOptions};
-use binpart_core::{DecompileError, DecompileOptions, LiftError};
-use binpart_core::decompile::DecompiledProgram;
+use binpart_core::flow::FlowOptions;
+use binpart_core::stage::StagedFlow;
+use binpart_core::{DecompileError, DecompileOptions, FlowError, LiftError};
 use binpart_minicc::OptLevel;
-use binpart_mips::sim::{Exit, Machine, SimConfig};
-use binpart_mips::Binary;
 use binpart_par::par_map;
 use binpart_platform::{geomean, Platform};
 use binpart_telemetry::{Counter, Recorder};
 use binpart_workloads::{suite, Benchmark};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-/// One benchmark compiled at one optimization level, with its software
-/// profile: everything downstream experiments need, computed exactly once.
-#[derive(Debug)]
-pub struct CompiledBench {
-    /// The source benchmark.
-    pub bench: Benchmark,
-    /// The compiled binary.
-    pub binary: Binary,
-    /// Lazily simulated software run (experiments that only decompile —
-    /// e.g. E4 — never pay for simulation).
-    exit: OnceLock<Exit>,
-}
+type SuiteMap = Mutex<HashMap<(&'static str, OptLevel), &'static OnceLock<StagedFlow<'static>>>>;
 
-impl CompiledBench {
-    /// Software run: block counts + branch bias + cycles, simulated once
-    /// on first use. The cheap
-    /// [`EdgeProfiler`](binpart_mips::sim::EdgeProfiler) reconstructs
-    /// exact per-instruction counts *and* branch taken counts — everything
-    /// the partitioning experiments consume (including the measured
-    /// loop-entry estimates) — without paying for per-op full-profile
-    /// bookkeeping on the profiling pass.
-    ///
-    /// The run uses [`FlowOptions::aggressive_sim`]'s simulator
-    /// configuration (aggressive superinstruction fusion): fusion is
-    /// observationally exact at every level (bit-identical `Exit` +
-    /// `Profile`, asserted by `tests/differential.rs`), so every
-    /// experiment's numbers are unchanged — the profiling pass is just
-    /// faster.
-    pub fn exit(&self) -> &Exit {
-        self.exit.get_or_init(|| {
-            let mut machine =
-                Machine::with_config(&self.binary, FlowOptions::aggressive_sim().sim)
-                    .expect("suite decodes");
-            let mut prof = binpart_mips::sim::EdgeProfiler::new();
-            machine.run_with(&mut prof).expect("suite runs")
-        })
-    }
-}
-
-/// Do two simulator configurations produce the same `Exit` (profile +
-/// cycles)? Fusion never affects observable state, so it is ignored; the
-/// cycle model, step budget, and stack placement all do.
-pub fn profile_equivalent(a: SimConfig, b: SimConfig) -> bool {
-    a.cycles == b.cycles && a.max_steps == b.max_steps && a.stack_top == b.stack_top
-}
-
-type SuiteKey = (&'static str, OptLevel);
-type SuiteMap = Mutex<HashMap<SuiteKey, Arc<OnceLock<Arc<CompiledBench>>>>>;
-/// Decompile cache key: benchmark, level, and the full option set (so a
-/// future `DecompileOptions` field cannot silently alias cache entries).
-type ProgKey = (&'static str, OptLevel, DecompileOptions);
-type ProgResult = Result<Arc<DecompiledProgram>, DecompileError>;
-type ProgMap = Mutex<HashMap<ProgKey, Arc<OnceLock<ProgResult>>>>;
-
-/// Process-wide memoization of compiled + profiled suite binaries.
+/// Process-wide memo: one [`StagedFlow`] per `(benchmark, OptLevel)`.
 ///
-/// The map holds one [`OnceLock`] per key so two threads asking for
-/// *different* entries never serialize on each other's compile/simulate
-/// work — the outer mutex is held only for the map lookup.
+/// Each compiled binary is leaked into the memo — it lives for the whole
+/// process anyway — so the flow can borrow it for `'static`. The map holds
+/// one [`OnceLock`] per key so two threads asking for *different* entries
+/// never serialize on each other's compile; the mutex is held only for the
+/// map lookup.
 pub struct CompiledSuite;
 
 impl CompiledSuite {
@@ -101,52 +47,18 @@ impl CompiledSuite {
         MAP.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    /// The compiled binary and software profile for `(bench, level)`,
-    /// building them on first use.
-    pub fn get(bench: &Benchmark, level: OptLevel) -> Arc<CompiledBench> {
-        let cell = {
-            let mut map = Self::map().lock().expect("suite cache poisoned");
-            map.entry((bench.name, level))
-                .or_insert_with(|| Arc::new(OnceLock::new()))
-                .clone()
-        };
+    /// The staged flow over `bench` compiled at `level`, compiling it on
+    /// first use.
+    pub fn get(bench: &Benchmark, level: OptLevel) -> &'static StagedFlow<'static> {
+        let cell = *Self::map()
+            .lock()
+            .expect("suite cache poisoned")
+            .entry((bench.name, level))
+            .or_insert_with(|| Box::leak(Box::new(OnceLock::new())));
         cell.get_or_init(|| {
             let binary = bench.compile(level).expect("suite compiles");
-            Arc::new(CompiledBench {
-                bench: bench.clone(),
-                binary,
-                exit: OnceLock::new(),
-            })
+            StagedFlow::new(Box::leak(Box::new(binary)))
         })
-        .clone()
-    }
-
-    fn prog_map() -> &'static ProgMap {
-        static MAP: OnceLock<ProgMap> = OnceLock::new();
-        MAP.get_or_init(|| Mutex::new(HashMap::new()))
-    }
-
-    /// The (pre-profile) decompiled program for `(bench, level, opts)`,
-    /// recovering the CDFG on first use. Callers clone the `Arc`'d program
-    /// into [`Flow::run_with_program`]; recovery failures (the paper's
-    /// jump-table cases) are cached as errors.
-    pub fn decompiled(
-        bench: &Benchmark,
-        level: OptLevel,
-        opts: DecompileOptions,
-    ) -> ProgResult {
-        let key = (bench.name, level, opts);
-        let cell = {
-            let mut map = Self::prog_map().lock().expect("program cache poisoned");
-            map.entry(key)
-                .or_insert_with(|| Arc::new(OnceLock::new()))
-                .clone()
-        };
-        cell.get_or_init(|| {
-            let compiled = Self::get(bench, level);
-            binpart_core::decompile(&compiled.binary, opts).map(Arc::new)
-        })
-        .clone()
     }
 
     /// Number of distinct `(benchmark, OptLevel)` entries built so far
@@ -295,36 +207,6 @@ pub fn assert_snapshot_columns(keys: &[&str]) -> bool {
     }
 }
 
-/// Runs the flow tail for one memoized cell: cached binary + cached profile
-/// + cached (cloned) decompiled program.
-///
-/// # Errors
-///
-/// Returns the cached [`DecompileError`] when CDFG recovery failed.
-pub fn run_cell(
-    bench: &Benchmark,
-    level: OptLevel,
-    options: FlowOptions,
-) -> Result<binpart_core::flow::FlowReport, DecompileError> {
-    let compiled = CompiledSuite::get(bench, level);
-    let program = CompiledSuite::decompiled(bench, level, options.decompile)?;
-    // The memoized profile is valid for any profile-equivalent simulator
-    // configuration (fusion is observationally exact and thus ignored); a
-    // caller-supplied cycle model or step budget gets a fresh (uncached)
-    // software run instead of silently wrong numbers.
-    if !profile_equivalent(options.sim, SimConfig::default()) {
-        let sim = options.sim;
-        let flow = Flow::new(options);
-        let mut machine =
-            Machine::with_config(&compiled.binary, sim).expect("suite decodes");
-        let mut prof = binpart_mips::sim::EdgeProfiler::new();
-        let exit = machine.run_with(&mut prof).expect("suite runs");
-        return Ok(flow.run_with_program(&compiled.binary, &exit, (*program).clone()));
-    }
-    let flow = Flow::new(options);
-    Ok(flow.run_with_program(&compiled.binary, compiled.exit(), (*program).clone()))
-}
-
 /// Aggregate result of co-simulating the full (benchmark, OptLevel)
 /// matrix — the measured (not modeled) hardware numbers.
 #[derive(Debug, Clone)]
@@ -367,8 +249,7 @@ pub fn run_cosim_matrix(passes: usize) -> CosimMatrixSummary {
         let mut cells = 0usize;
         for b in &suite {
             for level in OptLevel::ALL {
-                let compiled = CompiledSuite::get(b, level);
-                let staged = binpart_core::stage::StagedFlow::new(&compiled.binary);
+                let staged = StagedFlow::new(CompiledSuite::get(b, level).binary());
                 let report = staged.cosimulate(&options).expect("suite cosimulates");
                 cells += 1;
                 cycles += report.sw_cycles;
@@ -447,7 +328,7 @@ pub struct TelemetryColumns {
 /// summary table from it) and the derived [`TelemetryColumns`].
 pub fn telemetry_pass() -> (Recorder, TelemetryColumns) {
     let rec = Recorder::new();
-    let mut options = FlowOptions::aggressive_sim();
+    let mut options = FlowOptions::default();
     options.decompile.recover_jump_tables = true;
     options.sim.superblocks = true;
     let mut hw_measured = 0u64;
@@ -457,9 +338,7 @@ pub fn telemetry_pass() -> (Recorder, TelemetryColumns) {
     let mut hw_states_total = 0u64;
     for b in &suite() {
         for level in OptLevel::ALL {
-            let compiled = CompiledSuite::get(b, level);
-            let staged =
-                binpart_core::stage::StagedFlow::with_telemetry(&compiled.binary, &rec);
+            let staged = StagedFlow::with_telemetry(CompiledSuite::get(b, level).binary(), &rec);
             let report = staged.cosimulate(&options).expect("suite cosimulates");
             // The instrumented flow attaches an FSMD profile to every
             // hardware-executed kernel; aggregate the attribution split
@@ -671,7 +550,7 @@ pub fn run_one(
         },
         ..Default::default()
     };
-    match run_cell(b, level, options) {
+    match CompiledSuite::get(b, level).evaluate(&options) {
         Ok(report) => E1Row {
             name: b.name.to_string(),
             suite: b.suite.label(),
@@ -683,7 +562,7 @@ pub fn run_one(
                 coverage: report.partition.coverage(),
             }),
         },
-        Err(DecompileError::Lift(LiftError::IndirectJump { .. })) => E1Row {
+        Err(FlowError::Decompile(DecompileError::Lift(LiftError::IndirectJump { .. }))) => E1Row {
             name: b.name.to_string(),
             suite: b.suite.label(),
             result: None,
@@ -755,7 +634,9 @@ pub fn run_e3() -> Vec<E3Row> {
     par_map(&cells, |(b, level)| {
         let mut options = FlowOptions::default();
         options.decompile.recover_jump_tables = true;
-        let report = run_cell(b, *level, options).expect("flow");
+        let report = CompiledSuite::get(b, *level)
+            .evaluate(&options)
+            .expect("flow");
         E3Row {
             name: b.name.to_string(),
             level: *level,
@@ -795,9 +676,10 @@ pub struct E4Totals {
 /// binaries are reused).
 pub fn run_e4() -> E4Totals {
     let per_bench = par_map(&suite(), |b| {
+        let decompiled = |level, opts| CompiledSuite::get(b, level).decompile(opts);
         let mut t = E4Totals::default();
         // structure + widths from the -O1 binary
-        match CompiledSuite::decompiled(b, OptLevel::O1, DecompileOptions::default()) {
+        match decompiled(OptLevel::O1, DecompileOptions::default()) {
             Ok(prog) => {
                 t.recovered += 1;
                 t.loops += prog.stats.structure.loops();
@@ -808,7 +690,7 @@ pub fn run_e4() -> E4Totals {
             Err(_) => t.failed += 1,
         }
         // stack ops from -O0
-        if let Ok(prog) = CompiledSuite::decompiled(b, OptLevel::O0, DecompileOptions::default()) {
+        if let Ok(prog) = decompiled(OptLevel::O0, DecompileOptions::default()) {
             t.stack_slots += prog.stats.passes.stack_slots_promoted;
         }
         // strength promotion from -O2, rerolling from -O3 (with recovery so
@@ -817,10 +699,10 @@ pub fn run_e4() -> E4Totals {
             recover_jump_tables: true,
             ..Default::default()
         };
-        if let Ok(prog) = CompiledSuite::decompiled(b, OptLevel::O2, opts) {
+        if let Ok(prog) = decompiled(OptLevel::O2, opts) {
             t.muls_promoted += prog.stats.passes.muls_promoted;
         }
-        if let Ok(prog) = CompiledSuite::decompiled(b, OptLevel::O3, opts) {
+        if let Ok(prog) = decompiled(OptLevel::O3, opts) {
             t.rerolled += prog.stats.passes.loops_rerolled;
         }
         t
@@ -856,7 +738,7 @@ pub fn run_a1(area_budget: u64) -> A1Result {
         let mut options = FlowOptions::default();
         options.decompile.recover_jump_tables = true;
         let mut items = Vec::new();
-        if let Ok(report) = run_cell(b, OptLevel::O1, options) {
+        if let Ok(report) = CompiledSuite::get(b, OptLevel::O1).evaluate(&options) {
             for k in &report.partition.kernels {
                 let hw_cpu_cycles = (k.synth.timing.hw_cycles as f64
                     * (200e6 / (k.synth.timing.clock_mhz * 1e6)))
@@ -903,7 +785,7 @@ pub fn run_a2() -> Vec<(String, f64, f64)> {
                 },
                 ..Default::default()
             };
-            match run_cell(b, OptLevel::O1, options) {
+            match CompiledSuite::get(b, OptLevel::O1).evaluate(&options) {
                 Ok(r) => r.hybrid.app_speedup,
                 Err(_) => 1.0,
             }
@@ -920,7 +802,7 @@ pub fn run_a3() -> Vec<(String, f64, f64)> {
             let mut options = FlowOptions::default();
             options.decompile.recover_jump_tables = true;
             options.partition.alias_step = alias;
-            match run_cell(b, OptLevel::O1, options) {
+            match CompiledSuite::get(b, OptLevel::O1).evaluate(&options) {
                 Ok(r) => r.hybrid.app_speedup,
                 Err(_) => 1.0,
             }
@@ -938,9 +820,15 @@ mod tests {
         let b = suite().into_iter().find(|b| b.name == "crc").unwrap();
         let first = CompiledSuite::get(&b, OptLevel::O1);
         let again = CompiledSuite::get(&b, OptLevel::O1);
-        // Same Arc, not a rebuild.
-        assert!(Arc::ptr_eq(&first, &again));
-        assert!(first.exit().profile.total_instrs > 0);
+        // Same flow, not a rebuild.
+        assert!(std::ptr::eq(first, again));
+        let sim = FlowOptions::default().sim;
+        let profile = first.profile(sim).unwrap();
+        assert!(profile.profile.total_instrs > 0);
+        assert!(std::sync::Arc::ptr_eq(
+            &profile,
+            &again.profile(sim).unwrap()
+        ));
     }
 
     #[test]
@@ -948,7 +836,9 @@ mod tests {
         let b = suite().into_iter().find(|b| b.name == "aifirf01").unwrap();
         let direct = {
             let binary = b.compile(OptLevel::O1).unwrap();
-            Flow::new(FlowOptions::default()).run(&binary).unwrap()
+            binpart_core::Flow::new(FlowOptions::default())
+                .run(&binary)
+                .unwrap()
         };
         let row = run_one(&b, OptLevel::O1, 200e6, false);
         let n = row.result.expect("recovers");

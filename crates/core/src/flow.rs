@@ -1,20 +1,22 @@
 //! The end-to-end flow: run the binary for a profile, decompile it,
 //! partition it, synthesize the kernels, and evaluate the hybrid platform.
 //!
-//! [`Flow::run`] executes the whole pipeline for one option set. Sweeping
-//! many option points over the same binary? Use the staged flow
-//! ([`crate::stage::StagedFlow`]) — the same pipeline split into cached
-//! stages (profile / decompile / estimate / evaluate) with bit-identical
-//! results, so only the stages whose inputs changed re-run.
+//! [`Flow::run`] is the one-call entry point: a one-shot
+//! [`StagedFlow`] built fresh for every call, so each run is cold
+//! (profile, decompile, estimate and evaluate all execute). Sweeping many
+//! option points over the same binary? Keep one [`StagedFlow`] instead: its
+//! stage caches serve every point whose profile, CDFG or candidate set is
+//! already built, with bit-identical results.
 
 use crate::cosim::CosimError;
-use crate::decompile::{self, DecompiledProgram};
+use crate::decompile::DecompiledProgram;
 use crate::diag::Diagnostic;
 use crate::lift::{DecompileError, DecompileOptions};
-use crate::partition::{partition_90_10, Partition, PartitionOptions};
-use binpart_mips::sim::{Exit, Machine, SimConfig, SimError};
+use crate::partition::{Partition, PartitionOptions};
+use crate::stage::StagedFlow;
+use binpart_mips::sim::{SimConfig, SimError};
 use binpart_mips::Binary;
-use binpart_platform::{HardwareKernel, HybridReport, Platform};
+use binpart_platform::{HybridReport, Platform};
 use binpart_synth::{ResourceBudget, SynthError, TechLibrary};
 use std::fmt;
 
@@ -45,23 +47,6 @@ impl Default for FlowOptions {
             library: TechLibrary::virtex2(),
             sim: SimConfig::default(),
         }
-    }
-}
-
-impl FlowOptions {
-    /// The default option set with the simulator's **aggressive**
-    /// superinstruction fusion enabled for the profiling pass.
-    ///
-    /// Fusion is observationally exact at every level (bit-identical
-    /// `Exit` and `Profile`; see `binpart_mips::sim`), so this preset
-    /// changes *nothing* about the flow's results — it only makes the
-    /// software-profiling stage faster (measured ~1.2-1.4x on the suite
-    /// matrix, see `BENCH_sim.json`'s `fusion_speedup`). The experiment
-    /// harness profiles with this preset.
-    pub fn aggressive_sim() -> FlowOptions {
-        let mut options = FlowOptions::default();
-        options.sim.fusion = binpart_mips::sim::FusionConfig::Aggressive;
-        options
     }
 }
 
@@ -202,103 +187,14 @@ impl Flow {
         Flow { options }
     }
 
-    /// Runs the complete flow on `binary`.
-    ///
-    /// The profiling pass uses the pay-as-you-go
-    /// [`EdgeProfiler`](binpart_mips::sim::EdgeProfiler): the 90-10
-    /// partitioner consumes per-instruction execution counts (block
-    /// weights) plus branch-bias (taken) counts, which feed the measured
-    /// loop-entry estimates
-    /// ([`harvest_candidates`](crate::partition::harvest_candidates)) —
-    /// both reconstructed *exactly* at a fraction of the full profiler's
-    /// overhead. Callers that also need call edges or load/store totals
-    /// can collect a full profile themselves and enter through
-    /// [`Flow::run_with_exit`].
+    /// Runs the complete flow on `binary` through a fresh
+    /// [`StagedFlow`]: nothing is shared with any other call.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError`] if the software run or CDFG recovery fails.
     pub fn run(&self, binary: &Binary) -> Result<FlowReport, FlowError> {
-        // 1. Software run: cycles + block counts + branch bias.
-        let mut machine = Machine::with_config(binary, self.options.sim)?;
-        let mut prof = binpart_mips::sim::EdgeProfiler::new();
-        let exit = machine.run_with(&mut prof)?;
-        self.run_with_exit(binary, &exit)
-    }
-
-    /// Runs the flow on `binary` reusing an already-collected software
-    /// [`Exit`] (profile + cycles), skipping the simulation step entirely.
-    ///
-    /// The exit must come from a run of the same binary under the same
-    /// [`SimConfig`] cycle model; the memoized experiment harness uses this
-    /// to profile each `(benchmark, OptLevel)` binary exactly once across
-    /// every experiment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] if CDFG recovery fails.
-    pub fn run_with_exit(&self, binary: &Binary, exit: &Exit) -> Result<FlowReport, FlowError> {
-        let program = decompile::decompile(binary, self.options.decompile)?;
-        Ok(self.run_with_program(binary, exit, program))
-    }
-
-    /// Runs the partition/synthesis/evaluation tail of the flow on an
-    /// already-decompiled (pre-profile) `program`, attaching `exit`'s
-    /// profile. The memoized harness caches decompiled programs per
-    /// `(binary, DecompileOptions)` and clones them into this entry point,
-    /// so repeated experiments skip both simulation and CDFG recovery.
-    pub fn run_with_program(
-        &self,
-        binary: &Binary,
-        exit: &Exit,
-        mut program: DecompiledProgram,
-    ) -> FlowReport {
-        let sw_cycles = exit.cycles;
-
-        // 2. Attach the profile to the recovered program.
-        decompile::attach_profile(&mut program, &exit.profile);
-
-        // 3. Partition.
-        let mut popts = self.options.partition.clone();
-        popts.cpu_clock_hz = self.options.platform.cpu.clock_hz;
-        let partition = partition_90_10(
-            &program,
-            binary,
-            &exit.profile,
-            &self.options.sim.cycles,
-            sw_cycles,
-            &popts,
-            &self.options.budget,
-            &self.options.library,
-        );
-
-        // 4. Evaluate on the platform.
-        let kernels: Vec<HardwareKernel> = partition
-            .kernels
-            .iter()
-            .map(|k| HardwareKernel {
-                name: k.name.clone(),
-                invocations: k.invocations,
-                hw_cycles: k.synth.timing.hw_cycles,
-                clock_hz: k.synth.timing.clock_mhz * 1e6,
-                sw_cycles_replaced: k.sw_cycles,
-                area_gates: k.synth.area.gate_equivalents,
-                bram_transfer_words: if k.mem_in_bram { k.bram_bytes / 4 } else { 0 },
-            })
-            .collect();
-        let hybrid = self.options.platform.hybrid(sw_cycles, &kernels);
-        let stats = program.stats;
-        let mut diagnostics = program.diagnostics.clone();
-        diagnostics.extend(partition.diagnostics.iter().cloned());
-        FlowReport {
-            sw_cycles,
-            sw_exit_value: exit.reg(binpart_mips::Reg::V0),
-            hybrid,
-            stats,
-            partition,
-            program,
-            diagnostics,
-        }
+        StagedFlow::new(binary).run(&self.options)
     }
 }
 
@@ -320,29 +216,6 @@ mod tests {
            }
            return out;
          }"
-    }
-
-    #[test]
-    fn memoized_entry_points_match_run() {
-        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let flow = Flow::new(FlowOptions::default());
-        let direct = flow.run(&binary).unwrap();
-        let mut m = Machine::with_config(&binary, flow.options.sim).unwrap();
-        let exit = m.run().unwrap();
-        let via_exit = flow.run_with_exit(&binary, &exit).unwrap();
-        assert_eq!(direct.sw_cycles, via_exit.sw_cycles);
-        assert_eq!(
-            direct.hybrid.app_speedup.to_bits(),
-            via_exit.hybrid.app_speedup.to_bits()
-        );
-        let program = decompile::decompile(&binary, flow.options.decompile).unwrap();
-        let via_program = flow.run_with_program(&binary, &exit, program);
-        assert_eq!(
-            direct.hybrid.app_speedup.to_bits(),
-            via_program.hybrid.app_speedup.to_bits()
-        );
-        assert_eq!(direct.hybrid.total_area_gates, via_program.hybrid.total_area_gates);
-        assert_eq!(direct.sw_exit_value, via_program.sw_exit_value);
     }
 
     #[test]

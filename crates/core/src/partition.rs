@@ -21,7 +21,7 @@ use binpart_cdfg::ir::Function;
 use binpart_cdfg::loops::LoopForest;
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, CycleModel};
-use binpart_synth::{synthesize, ResourceBudget, SynthesisInput, SynthesisResult, TechLibrary};
+use binpart_synth::{EstimateCache, ResourceBudget, SynthesisInput, SynthesisResult, TechLibrary};
 
 /// Partitioner tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,8 +153,8 @@ pub struct CandidateSet {
 /// Harvests every outermost call-free loop nest of `prog` as a hardware
 /// candidate, with profile weights from `profile` and `cycles`.
 ///
-/// This is the profile/alias-analysis half of [`partition_90_10`], split
-/// out so sweeps can run it once per program: nothing here depends on the
+/// This is the profile/alias-analysis half of the partitioner, split out
+/// so sweeps can run it once per program: nothing here depends on the
 /// platform clock, the FPGA area budget, or the partitioner options.
 pub fn harvest_candidates(
     prog: &DecompiledProgram,
@@ -281,36 +281,16 @@ fn measured_back_edges(
     found.then_some(total)
 }
 
-/// Runs the three-step partitioner.
+/// Runs the three-step partitioner over a candidate set from
+/// [`harvest_candidates`]: applies the `min_share` filter, ranks, and runs
+/// steps 1–3, synthesizing through `cache`.
 ///
-/// `total_sw_cycles` is the whole-program profiled cycle count; candidates
-/// are outermost loop nests without calls. Equivalent to
-/// [`harvest_candidates`] followed by [`partition_with_candidates`] with no
-/// cache.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_90_10(
-    prog: &DecompiledProgram,
-    binary: &Binary,
-    profile: &Profile,
-    cycles: &CycleModel,
-    total_sw_cycles: u64,
-    options: &PartitionOptions,
-    budget: &ResourceBudget,
-    library: &TechLibrary,
-) -> Partition {
-    let set = harvest_candidates(prog, binary, profile, cycles);
-    partition_with_candidates(prog, &set, total_sw_cycles, options, budget, library, None)
-}
-
-/// The selection half of [`partition_90_10`]: applies the `min_share`
-/// filter, ranks, and runs steps 1–3 over a pre-harvested candidate set,
-/// optionally memoizing synthesis through `cache`.
-///
-/// With a `cache`, results are still bit-identical to the uncached path —
-/// synthesis is deterministic and the cache key covers every input (see
-/// [`binpart_synth::estimate`]); the cache must only be shared across calls
-/// passing the same `prog` (the staged flow guarantees this by owning one
-/// cache per estimated-program artifact).
+/// `total_sw_cycles` is the whole-program profiled cycle count. Memoized
+/// synthesis is bit-identical to a fresh one — synthesis is deterministic
+/// and the cache key covers every input (see [`binpart_synth::estimate`]);
+/// the cache must only be shared across calls passing the same `prog` (the
+/// staged flow guarantees this by owning one cache per estimated-program
+/// artifact).
 pub fn partition_with_candidates(
     prog: &DecompiledProgram,
     set: &CandidateSet,
@@ -318,7 +298,7 @@ pub fn partition_with_candidates(
     options: &PartitionOptions,
     budget: &ResourceBudget,
     library: &TechLibrary,
-    cache: Option<&binpart_synth::EstimateCache>,
+    cache: &EstimateCache,
 ) -> Partition {
     let data_end = set.data_end;
     let mut log = Vec::new();
@@ -361,12 +341,9 @@ pub fn partition_with_candidates(
             budget: *budget,
             library: library.clone(),
         };
-        let r = match cache {
-            Some(cache) => cache
-                .synthesize(c.func_index, &input)
-                .map_err(Reject::Synth)?,
-            None => synthesize(&input).map_err(Reject::Synth)?,
-        };
+        let r = cache
+            .synthesize(c.func_index, &input)
+            .map_err(Reject::Synth)?;
         if area_used + r.area.gate_equivalents > options.area_budget_gates {
             return Err(Reject::Area);
         }

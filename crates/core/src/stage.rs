@@ -1,12 +1,11 @@
-//! The staged, memoized decompilation flow.
+//! The staged, memoized decompilation flow — the one implementation of
+//! profile → decompile → partition → synthesize → evaluate.
 //!
-//! [`Flow::run`](crate::flow::Flow::run) is a monolith: profile →
-//! decompile → partition → synthesize → evaluate, end to end, for one
-//! option set. A design-space sweep (platform clock × FPGA area budget ×
-//! compiler level × simulator configuration) re-enters that pipeline at
-//! hundreds of points whose *inputs mostly repeat*: the software profile
-//! does not depend on the platform, the recovered CDFG does not depend on
-//! the area budget, and a kernel's synthesis result depends on neither.
+//! A design-space sweep (platform clock × FPGA area budget × compiler
+//! level) re-enters the pipeline at hundreds of points whose *inputs
+//! mostly repeat*: the software profile does not depend on the platform,
+//! the recovered CDFG does not depend on the area budget, and a kernel's
+//! synthesis result depends on neither.
 //!
 //! [`StagedFlow`] splits the pipeline into four explicit stages with
 //! cached artifacts:
@@ -26,10 +25,11 @@
 //! evaluates points at selection-loop speed. The `binpart-explore` crate
 //! builds its grid sweeps on exactly this structure.
 //!
-//! Every stage is observationally identical to the monolithic flow:
-//! [`evaluate`](StagedFlow::evaluate) returns bit-identical
-//! [`HybridReport`]s and kernel selections to [`Flow::run`] with the same
-//! options (asserted across the benchmark × opt-level matrix by
+//! [`Flow::run`](crate::flow::Flow::run) is this flow used once: a fresh
+//! `StagedFlow` per call. Caching never changes a result — a shared
+//! `StagedFlow` serving memo hits returns bit-identical [`HybridReport`]s
+//! and kernel selections to a cold `Flow::run` with the same options
+//! (asserted across the benchmark × opt-level matrix by
 //! `tests/staged_differential.rs`).
 //!
 //! Artifacts are built at most once per key even under concurrency: each
@@ -85,10 +85,6 @@ use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-// Referenced by the module docs.
-#[allow(unused_imports)]
-use crate::flow::Flow;
-
 /// The product of the [`estimate`](StagedFlow::estimate) stage: a profiled
 /// CDFG, its harvested hardware candidates, and a shared per-kernel
 /// synthesis memo. Everything the `evaluate` stage reads.
@@ -110,7 +106,7 @@ pub struct EstimatedProgram {
 }
 
 /// A [`FlowReport`] without the owned program copy — what a sweep point
-/// needs. Identical numbers to the monolithic flow.
+/// needs.
 #[derive(Debug, Clone)]
 pub struct StagedReport {
     /// Profiled all-software cycles.
@@ -139,7 +135,7 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, FlowError>>>;
 /// flow ([`with_telemetry`](StagedFlow::with_telemetry)) emits a span
 /// per stage execution, `OnceLock`-slot hit/miss counters per stage
 /// call, [`EstimateCache`] memo deltas per evaluation, superblock
-/// engine counters from the profile run, and every [`Diagnostic`]
+/// engine counters from the profile run, and every [`Diagnostic`](crate::diag::Diagnostic)
 /// as a structured event.
 pub struct StagedFlow<'b, T: Telemetry = NullTelemetry> {
     binary: &'b Binary,
@@ -228,8 +224,9 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
 
     /// Stage 1 — software run: cycles + block counts + branch bias under
     /// `sim`. Simulated once per distinct [`SimConfig`]; uses the
-    /// pay-as-you-go [`EdgeProfiler`] exactly like [`Flow::run`] (the
-    /// taken counts feed the partitioner's measured loop-entry estimates).
+    /// pay-as-you-go [`EdgeProfiler`]: the partitioner consumes block
+    /// counts plus branch-bias (taken) counts, which feed its measured
+    /// loop-entry estimates.
     ///
     /// # Errors
     ///
@@ -336,8 +333,6 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     /// comes from the stage-3 artifact, including memoized per-kernel
     /// synthesis.
     ///
-    /// Bit-identical to [`Flow::run`] with the same options.
-    ///
     /// # Errors
     ///
     /// Propagates stage-1/-2 failures.
@@ -371,9 +366,10 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         report
     }
 
-    /// Monolithic-compatible entry: like [`Flow::run`], but cached. The
-    /// returned [`FlowReport`] clones the profiled program out of the
-    /// artifact; sweeps should prefer [`StagedFlow::evaluate`].
+    /// [`evaluate`](StagedFlow::evaluate) plus a clone of the profiled
+    /// program: the full [`FlowReport`] that
+    /// [`Flow::run`](crate::flow::Flow::run) returns. Sweeps should prefer
+    /// `evaluate`.
     ///
     /// # Errors
     ///
@@ -415,9 +411,8 @@ pub(crate) fn emit_diagnostics<T: Telemetry>(tel: &T, diagnostics: &[crate::diag
     }
 }
 
-/// Partition + evaluate one option point against a stage-3 artifact —
-/// the same arithmetic as [`Flow::run_with_program`], with synthesis
-/// served from the artifact's memo.
+/// Partition + evaluate one option point against a stage-3 artifact, with
+/// synthesis served from the artifact's memo.
 fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
     let mut popts: PartitionOptions = options.partition.clone();
     popts.cpu_clock_hz = options.platform.cpu.clock_hz;
@@ -428,7 +423,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
         &popts,
         &options.budget,
         &options.library,
-        Some(&est.cache),
+        &est.cache,
     );
     let kernels: Vec<HardwareKernel> = partition
         .kernels
@@ -478,8 +473,10 @@ mod tests {
          }"
     }
 
+    /// One shared `StagedFlow` (memo hits from the second point on) against
+    /// a cold [`Flow::run`] per point: caching must never change a result.
     #[test]
-    fn staged_matches_monolithic_bit_for_bit() {
+    fn shared_staged_flow_matches_cold_flow_bit_for_bit() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
         let staged = StagedFlow::new(&binary);
         for clock in [40e6, 200e6, 400e6] {
@@ -489,23 +486,23 @@ mod tests {
                     ..Default::default()
                 };
                 options.partition.area_budget_gates = budget;
-                let mono = Flow::new(options.clone()).run(&binary).unwrap();
+                let cold = Flow::new(options.clone()).run(&binary).unwrap();
                 let st = staged.evaluate(&options).unwrap();
                 assert_eq!(
-                    mono.hybrid.app_speedup.to_bits(),
+                    cold.hybrid.app_speedup.to_bits(),
                     st.hybrid.app_speedup.to_bits()
                 );
                 assert_eq!(
-                    mono.hybrid.energy_savings.to_bits(),
+                    cold.hybrid.energy_savings.to_bits(),
                     st.hybrid.energy_savings.to_bits()
                 );
-                assert_eq!(mono.hybrid.total_area_gates, st.hybrid.total_area_gates);
-                assert_eq!(mono.sw_cycles, st.sw_cycles);
-                assert_eq!(mono.sw_exit_value, st.sw_exit_value);
-                assert_eq!(mono.partition.log, st.partition.log);
+                assert_eq!(cold.hybrid.total_area_gates, st.hybrid.total_area_gates);
+                assert_eq!(cold.sw_cycles, st.sw_cycles);
+                assert_eq!(cold.sw_exit_value, st.sw_exit_value);
+                assert_eq!(cold.partition.log, st.partition.log);
                 let names =
                     |p: &Partition| p.kernels.iter().map(|k| k.name.clone()).collect::<Vec<_>>();
-                assert_eq!(names(&mono.partition), names(&st.partition));
+                assert_eq!(names(&cold.partition), names(&st.partition));
             }
         }
     }
@@ -545,6 +542,38 @@ mod tests {
         );
         assert_eq!(direct.program.functions.len(), cached.program.functions.len());
         assert_eq!(direct.vhdl(), cached.vhdl());
+    }
+
+    #[test]
+    fn estimate_key_ignores_fusion() {
+        // Fusion is observationally exact, so the estimate cache key drops
+        // it: both engines share one artifact and evaluate identically.
+        use binpart_mips::sim::FusionConfig;
+        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
+        let staged = StagedFlow::new(&binary);
+        let mut off = FlowOptions::default();
+        off.sim.fusion = FusionConfig::Off;
+        let mut aggressive = off.clone();
+        aggressive.sim.fusion = FusionConfig::Aggressive;
+        let a = staged.estimate(off.decompile, off.sim).unwrap();
+        let b = staged
+            .estimate(aggressive.decompile, aggressive.sim)
+            .unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let r_off = staged.evaluate(&off).unwrap();
+        let r_agg = staged.evaluate(&aggressive).unwrap();
+        assert_eq!(
+            r_off.hybrid.app_speedup.to_bits(),
+            r_agg.hybrid.app_speedup.to_bits()
+        );
+        assert_eq!(
+            r_off.hybrid.energy_savings.to_bits(),
+            r_agg.hybrid.energy_savings.to_bits()
+        );
+        assert_eq!(r_off.hybrid.total_area_gates, r_agg.hybrid.total_area_gates);
+        assert_eq!(r_off.sw_cycles, r_agg.sw_cycles);
+        assert_eq!(r_off.sw_exit_value, r_agg.sw_exit_value);
+        assert_eq!(r_off.partition.log, r_agg.partition.log);
     }
 
     #[test]

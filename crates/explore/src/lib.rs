@@ -3,15 +3,16 @@
 //! The paper's evaluation sweeps one axis at a time (processor clock in
 //! E2, compiler level in E3). This crate generalizes that into a grid
 //! **sweep engine**: build a [`Sweep`] over platform clock × FPGA area
-//! budget × compiler [`OptLevel`] × simulator [`FusionConfig`] (plus any
-//! user-defined [`axis`](Sweep::axis) over [`FlowOptions`]), evaluate
+//! budget × compiler [`OptLevel`] (plus any user-defined
+//! [`axis`](Sweep::axis) over [`FlowOptions`]), evaluate
 //! every point, and extract the [Pareto frontier](SweepResult::pareto) of
 //! speedup vs area vs energy.
 //!
 //! # Why it is fast
 //!
 //! Each compiled binary gets one [`StagedFlow`], so all points of the grid
-//! share the staged artifacts (software profile per [`SimConfig`], CDFG
+//! share the staged artifacts (software profile per
+//! [`SimConfig`](binpart_mips::sim::SimConfig), CDFG
 //! per decompile option set, candidate loops + memoized per-kernel
 //! synthesis per artifact — see `binpart_core::stage` for the exact
 //! invalidation table). A clock × budget sweep therefore simulates,
@@ -20,10 +21,14 @@
 //! [`binpart_par::par_map`] (`BINPART_THREADS=1` forces sequential), and
 //! results are deterministic and ordered regardless of thread count.
 //!
-//! [`Sweep::run_naive`] evaluates the same grid through the monolithic
+//! [`Sweep::run_naive`] evaluates the same grid through a cold
 //! [`Flow::run`] per point — the baseline the staged engine is measured
 //! against (`sweep_speedup_vs_naive` in `BENCH_sim.json`); both paths
 //! produce bit-identical points.
+//!
+//! There is no simulator axis: fusion and superblocks are observationally
+//! exact, so they could never change a point. Set them on the base
+//! options ([`Sweep::with_base`]) to choose the profiling engine.
 //!
 //! # Example
 //!
@@ -51,17 +56,12 @@
 
 use binpart_core::flow::{Flow, FlowOptions};
 use binpart_core::stage::StagedFlow;
-use binpart_mips::sim::{FusionConfig, SimConfig};
 use binpart_mips::Binary;
 use binpart_minicc::OptLevel;
 use binpart_par::par_map;
 use binpart_platform::ProcessorSpec;
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::sync::Arc;
-
-// Referenced by the crate docs.
-#[allow(unused_imports)]
-use binpart_core::flow::Flow as _FlowDoc;
 
 /// How a user-defined axis writes one of its values into [`FlowOptions`].
 pub type AxisApply = Arc<dyn Fn(&mut FlowOptions, f64) + Send + Sync>;
@@ -93,7 +93,6 @@ pub struct Sweep {
     clocks_hz: Vec<f64>,
     area_budgets: Vec<u64>,
     opt_levels: Vec<OptLevel>,
-    fusions: Vec<FusionConfig>,
     axes: Vec<Axis>,
 }
 
@@ -115,7 +114,6 @@ impl Sweep {
             clocks_hz: vec![base.platform.cpu.clock_hz],
             area_budgets: vec![base.partition.area_budget_gates],
             opt_levels: vec![OptLevel::O1],
-            fusions: vec![base.sim.fusion],
             axes: Vec::new(),
             base,
         }
@@ -142,18 +140,6 @@ impl Sweep {
     pub fn opt_levels(mut self, levels: impl IntoIterator<Item = OptLevel>) -> Sweep {
         self.opt_levels = levels.into_iter().collect();
         assert!(!self.opt_levels.is_empty(), "empty level axis");
-        self
-    }
-
-    /// Simulator superinstruction-fusion axis. Fusion is observationally
-    /// exact, so this axis never changes results; the staged engine
-    /// shares one artifact across all fusion points (profiling once),
-    /// while [`Sweep::run_naive`] re-simulates per point — so only the
-    /// naive path measures each configuration's profiling cost.
-    #[must_use]
-    pub fn fusions(mut self, fusions: impl IntoIterator<Item = FusionConfig>) -> Sweep {
-        self.fusions = fusions.into_iter().collect();
-        assert!(!self.fusions.is_empty(), "empty fusion axis");
         self
     }
 
@@ -190,7 +176,7 @@ impl Sweep {
     }
 
     /// The full cross product of the axes, in deterministic row-major
-    /// order: level (slowest) × clock × budget × fusion × custom axes.
+    /// order: level (slowest) × clock × budget × custom axes.
     pub fn configs(&self) -> Vec<PointConfig> {
         let mut custom: Vec<Vec<f64>> = vec![Vec::new()];
         for axis in &self.axes {
@@ -208,16 +194,13 @@ impl Sweep {
         for &level in &self.opt_levels {
             for &clock_hz in &self.clocks_hz {
                 for &area_budget_gates in &self.area_budgets {
-                    for &fusion in &self.fusions {
-                        for axis_values in &custom {
-                            configs.push(PointConfig {
-                                level,
-                                clock_hz,
-                                area_budget_gates,
-                                fusion,
-                                axis_values: axis_values.clone(),
-                            });
-                        }
+                    for axis_values in &custom {
+                        configs.push(PointConfig {
+                            level,
+                            clock_hz,
+                            area_budget_gates,
+                            axis_values: axis_values.clone(),
+                        });
                     }
                 }
             }
@@ -238,10 +221,6 @@ impl Sweep {
             options.platform.cpu = ProcessorSpec::mips(config.clock_hz);
         }
         options.partition.area_budget_gates = config.area_budget_gates;
-        options.sim = SimConfig {
-            fusion: config.fusion,
-            ..self.base.sim
-        };
         for (axis, &value) in self.axes.iter().zip(&config.axis_values) {
             (axis.apply)(&mut options, value);
         }
@@ -269,7 +248,7 @@ impl Sweep {
         self.run_impl(telemetry, compile, false)
     }
 
-    /// Runs the same grid through the monolithic [`Flow::run`] per point —
+    /// Runs the same grid through a cold [`Flow::run`] per point —
     /// every point re-simulates, re-decompiles, and re-synthesizes from
     /// scratch. Same parallel fan-out, bit-identical points; exists as the
     /// baseline the staged engine is benchmarked against.
@@ -308,31 +287,28 @@ impl Sweep {
                 (Err(e), _) => Err(format!("compile failed: {e}")),
                 (Ok(binary), Some(flow)) => {
                     let evaluated = if naive {
-                        Flow::new(options).run(binary).map(|r| PointReport {
-                            sw_cycles: r.sw_cycles,
-                            sw_exit_value: r.sw_exit_value,
-                            speedup: r.hybrid.app_speedup,
-                            energy_savings: r.hybrid.energy_savings,
-                            area_gates: r.hybrid.total_area_gates,
-                            kernels: r.partition.kernels.len(),
-                            coverage: r.partition.coverage(),
-                            sw_time_s: r.hybrid.sw_time_s,
-                            hybrid_time_s: r.hybrid.hybrid_time_s,
-                        })
+                        Flow::new(options)
+                            .run(binary)
+                            .map(|r| (r.sw_cycles, r.sw_exit_value, r.hybrid, r.partition))
                     } else {
-                        flow.evaluate(&options).map(|r| PointReport {
-                            sw_cycles: r.sw_cycles,
-                            sw_exit_value: r.sw_exit_value,
-                            speedup: r.hybrid.app_speedup,
-                            energy_savings: r.hybrid.energy_savings,
-                            area_gates: r.hybrid.total_area_gates,
-                            kernels: r.partition.kernels.len(),
-                            coverage: r.partition.coverage(),
-                            sw_time_s: r.hybrid.sw_time_s,
-                            hybrid_time_s: r.hybrid.hybrid_time_s,
-                        })
+                        flow.evaluate(&options)
+                            .map(|r| (r.sw_cycles, r.sw_exit_value, r.hybrid, r.partition))
                     };
-                    evaluated.map_err(|e| e.to_string())
+                    evaluated
+                        .map(
+                            |(sw_cycles, sw_exit_value, hybrid, partition)| PointReport {
+                                sw_cycles,
+                                sw_exit_value,
+                                speedup: hybrid.app_speedup,
+                                energy_savings: hybrid.energy_savings,
+                                area_gates: hybrid.total_area_gates,
+                                kernels: partition.kernels.len(),
+                                coverage: partition.coverage(),
+                                sw_time_s: hybrid.sw_time_s,
+                                hybrid_time_s: hybrid.hybrid_time_s,
+                            },
+                        )
+                        .map_err(|e| e.to_string())
                 }
                 (Ok(_), None) => unreachable!("staged flow exists for compiled binaries"),
             };
@@ -362,8 +338,6 @@ pub struct PointConfig {
     pub clock_hz: f64,
     /// FPGA area budget (gate equivalents).
     pub area_budget_gates: u64,
-    /// Simulator fusion configuration.
-    pub fusion: FusionConfig,
     /// Values of the user-defined axes, in axis order.
     pub axis_values: Vec<f64>,
 }

@@ -3,7 +3,6 @@
 
 use binpart_explore::{Sweep, SweepResult};
 use binpart_minicc::OptLevel;
-use binpart_mips::sim::FusionConfig;
 
 fn bench_compile(name: &str) -> impl FnMut(OptLevel) -> Result<binpart_mips::Binary, String> {
     let b = binpart_workloads::suite()
@@ -73,22 +72,6 @@ fn staged_sweep_is_bit_identical_to_naive_loop() {
     assert_eq!(staged.points.len(), 36);
     assert_identical(&staged, &naive);
     assert!(staged.ok_points().count() == 36);
-}
-
-#[test]
-fn fusion_axis_never_changes_results() {
-    let sweep = Sweep::with_base(base_with_recovery())
-        .clocks([200e6])
-        .fusions([FusionConfig::Off, FusionConfig::Default, FusionConfig::Aggressive]);
-    let result = sweep.run(bench_compile("crc"));
-    assert_eq!(result.points.len(), 3);
-    let first = result.points[0].outcome.as_ref().unwrap();
-    for p in &result.points[1..] {
-        let r = p.outcome.as_ref().unwrap();
-        assert_eq!(r.speedup.to_bits(), first.speedup.to_bits());
-        assert_eq!(r.sw_cycles, first.sw_cycles);
-        assert_eq!(r.sw_exit_value, first.sw_exit_value);
-    }
 }
 
 #[test]

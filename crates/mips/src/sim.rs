@@ -54,8 +54,8 @@
 //!
 //!   | [`FusionConfig`] | patterns | guards |
 //!   |---|---|---|
-//!   | `Default` | `addiu+addiu` (chained/independent), `mult/multu+mflo`, `lui+ori` / `lui+addiu` (`li` idioms), `slt/sltu/slti/sltiu+beq/bne` vs `$zero` (fused control op) | compare dest non-zero, one branch operand `$zero` |
-//!   | `Aggressive` (adds) | `addiu+slt/sltu+beq/bne` loop back edge (width-3 control), `mult+mflo+addu` MAC, `sll+addu+lw/sw` array indexing, `addu+lw/lbu/sw`, `addiu+lw/sw`, `sw+lw` / `lw+sw` / `lw+lw` spill pairs, `lw+addiu/addu`, and the generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`, `srl+addiu`, `ori+addiu` | memory base chained to the address producer where the encoding needs it |
+//!   | `Aggressive` (the default) | `addiu+addiu` (chained/independent), `mult/multu+mflo`, `lui+ori` / `lui+addiu` (`li` idioms), `slt/sltu/slti/sltiu+beq/bne` vs `$zero` (fused control op), `addiu+slt/sltu+beq/bne` loop back edge (width-3 control), `mult+mflo+addu` MAC, `sll+addu+lw/sw` array indexing, `addu+lw/lbu/sw`, `addiu+lw/sw`, `sw+lw` / `lw+sw` / `lw+lw` spill pairs, `lw+addiu/addu`, and the generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`, `srl+addiu`, `ori+addiu` | compare dest non-zero, one branch operand `$zero`; memory base chained to the address producer where the encoding needs it |
+//!   | `Off` (oracle) | none | — |
 //!
 //!   Fusion never starts at a control op (except the fused
 //!   compare-and-branch forms, which dispatch through the control
@@ -1207,28 +1207,25 @@ pub(crate) fn is_control(code: OpCode) -> bool {
 
 /// How much peephole fusion [`fuse`] applies to the micro-op stream.
 ///
-/// Every level is observationally exact: fused ops execute their
+/// Both levels are observationally exact: fused ops execute their
 /// constituents' semantics in original order against the real register
 /// file, so architectural state, cycle totals, and [`Profile`] counts are
-/// bit-identical to the unfused (and reference) engine at every level.
+/// bit-identical to the unfused (and reference) engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FusionConfig {
-    /// No fusion: the dispatch stream is the plain lowered micro-ops.
+    /// No fusion: the dispatch stream is the plain lowered micro-ops. Kept
+    /// as the oracle the fused engine is checked against.
     Off,
-    /// The hot pairs from the suite's dynamic-op histogram: `addiu+addiu`
-    /// (chained and independent), `mult/multu+mflo`, the `lui+ori` /
-    /// `lui+addiu` `li` idioms, and compare-and-branch
-    /// (`slt/sltu/slti/sltiu` + `beq/bne` against `$zero`).
-    #[default]
-    Default,
-    /// Everything in [`FusionConfig::Default`] plus the width-3
+    /// The full pattern table (see the [module docs](self)): the hot pairs
+    /// `addiu+addiu`, `mult/multu+mflo`, the `lui+ori` / `lui+addiu` `li`
+    /// idioms and compare-and-branch against `$zero`; the width-3
     /// `addiu+slt/sltu+beq/bne` loop back edge, the `mult+mflo+addu` MAC
-    /// chain, the array-index triples `sll+addu+lw/sw`, the pointer-form
-    /// pairs `addu+lw/lbu/sw` and `addiu+lw/sw`, the `-O0` stack-traffic
-    /// pairs `sw+lw`, `lw+sw`, `lw+lw`, `lw+addiu`, `lw+addu`, and the
-    /// generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`,
-    /// `srl+addiu`, `ori+addiu` (the full table lives in the
-    /// [module docs](self)).
+    /// chain and the array-index triples `sll+addu+lw/sw`; the
+    /// pointer-form pairs `addu+lw/lbu/sw` and `addiu+lw/sw`; the `-O0`
+    /// stack-traffic pairs `sw+lw`, `lw+sw`, `lw+lw`, `lw+addiu`,
+    /// `lw+addu`; and the generic ALU pairs `addu+addiu`, `sll+addiu`,
+    /// `addiu+srl`, `srl+addiu`, `ori+addiu`.
+    #[default]
     Aggressive,
 }
 
@@ -1280,14 +1277,13 @@ pub(crate) fn fuse(ops: &[Op], entries: &[bool], config: FusionConfig) -> Vec<Op
     if config == FusionConfig::Off {
         return fops;
     }
-    let aggressive = config == FusionConfig::Aggressive;
     let mut i = 0;
     while i + 1 < ops.len() {
         if is_control(ops[i].code) {
             i += 1;
             continue;
         }
-        match fuse_at(ops, entries, i, aggressive) {
+        match fuse_at(ops, entries, i) {
             Some(f) => {
                 let w = f.width as usize;
                 fops[i] = f;
@@ -1302,14 +1298,14 @@ pub(crate) fn fuse(ops: &[Op], entries: &[bool], config: FusionConfig) -> Vec<Op
 /// Attempts to fuse the pattern starting at `i`. Fused ops re-read the
 /// register file between constituent writes, so chained, independent, and
 /// `$zero`-destination forms are all handled by one generic encoding.
-fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<Op> {
+fn fuse_at(ops: &[Op], entries: &[bool], i: usize) -> Option<Op> {
     let a = ops[i];
     let b = ops[i + 1];
     if entries[i + 1] {
         return None;
     }
     // Triples first (longest match wins).
-    if aggressive && i + 2 < ops.len() && !entries[i + 2] {
+    if i + 2 < ops.len() && !entries[i + 2] {
         let c = ops[i + 2];
         // addiu; slt/sltu; beq/bne rd, $zero — the counted-loop back edge
         // as one fused *control* op (executes in the dispatch epilogue).
@@ -1477,7 +1473,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             })
         }
         // addiu rd, rs, i ; lw/sw rt, off(base) — pointer-bump memory ops.
-        (OpCode::Addiu, OpCode::Lw) if aggressive => Some(Op {
+        (OpCode::Addiu, OpCode::Lw) => Some(Op {
             code: OpCode::FAddiuLw,
             a: b.a,
             b: a.b,
@@ -1489,7 +1485,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Addiu, OpCode::Sw) if aggressive => Some(Op {
+        (OpCode::Addiu, OpCode::Sw) => Some(Op {
             code: OpCode::FAddiuSw,
             a: 0,
             b: a.b,
@@ -1504,7 +1500,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
         // The -O0 stack-traffic pairs: spill/reload chains and
         // reload-feeds-ALU. All generic (sequential semantics); loads and
         // stores report faults at their own slot.
-        (OpCode::Sw, OpCode::Lw) if aggressive => Some(Op {
+        (OpCode::Sw, OpCode::Lw) => Some(Op {
             code: OpCode::FSwLw,
             a: b.a,
             b: a.b,
@@ -1516,7 +1512,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Sw) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Sw) => Some(Op {
             code: OpCode::FLwSw,
             a: a.a,
             b: a.b,
@@ -1528,7 +1524,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Lw) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Lw) => Some(Op {
             code: OpCode::FLwLw,
             a: a.a,
             b: a.b,
@@ -1540,7 +1536,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Addiu) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Addiu) => Some(Op {
             code: OpCode::FLwAddiu,
             a: a.a,
             b: a.b,
@@ -1552,7 +1548,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Addu) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Addu) => Some(Op {
             code: OpCode::FLwAddu,
             a: a.a,
             b: a.b,
@@ -1564,7 +1560,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: 0,
         }),
-        (OpCode::Addu, OpCode::Sw) if aggressive => Some(Op {
+        (OpCode::Addu, OpCode::Sw) => Some(Op {
             code: OpCode::FAdduSw,
             a: b.b,
             b: a.b,
@@ -1577,7 +1573,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm2: 0,
         }),
         // addu rd, rs, rt ; lw/lbu rt2, off(rd) — register-indexed loads.
-        (OpCode::Addu, OpCode::Lw | OpCode::Lbu) if aggressive && b.b == a.a => Some(Op {
+        (OpCode::Addu, OpCode::Lw | OpCode::Lbu) if b.b == a.a => Some(Op {
             code: if b.code == OpCode::Lw {
                 OpCode::FAdduLw
             } else {
@@ -1595,7 +1591,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
         }),
         // Generic hot ALU pairs: op1(a, b, imm) ; op2(d, e, imm2). Each
         // arm is straight-line code — no inner sub-kind dispatch.
-        (OpCode::Addu, OpCode::Addiu) if aggressive => Some(Op {
+        (OpCode::Addu, OpCode::Addiu) => Some(Op {
             code: OpCode::FAdduAddiu,
             a: a.a,
             b: a.b,
@@ -1607,10 +1603,10 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: 0,
             imm2: b.imm,
         }),
-        (OpCode::Sll, OpCode::Addiu) if aggressive => Some(pair2(OpCode::FSllAddiu, a, b)),
-        (OpCode::Addiu, OpCode::Srl) if aggressive => Some(pair2(OpCode::FAddiuSrl, a, b)),
-        (OpCode::Srl, OpCode::Addiu) if aggressive => Some(pair2(OpCode::FSrlAddiu, a, b)),
-        (OpCode::Ori, OpCode::Addiu) if aggressive => Some(pair2(OpCode::FOriAddiu, a, b)),
+        (OpCode::Sll, OpCode::Addiu) => Some(pair2(OpCode::FSllAddiu, a, b)),
+        (OpCode::Addiu, OpCode::Srl) => Some(pair2(OpCode::FAddiuSrl, a, b)),
+        (OpCode::Srl, OpCode::Addiu) => Some(pair2(OpCode::FSrlAddiu, a, b)),
+        (OpCode::Ori, OpCode::Addiu) => Some(pair2(OpCode::FOriAddiu, a, b)),
         _ => None,
     }
 }
@@ -3273,9 +3269,9 @@ mod tests {
 
     // ----------------------- Fusion unit tests ---------------------------
 
-    /// Runs `build` under every fusion level and asserts bit-identical
-    /// `Exit` state and `Profile` against the unfused engine; returns the
-    /// unfused exit for further assertions.
+    /// Runs `build` fused and unfused and asserts bit-identical `Exit`
+    /// state and `Profile`; returns the unfused exit for further
+    /// assertions.
     fn assert_fusion_exact(build: impl Fn(&mut Asm)) -> Exit {
         let mut a = Asm::new();
         build(&mut a);
@@ -3292,14 +3288,12 @@ mod tests {
                 .expect("runs")
         };
         let off = run(FusionConfig::Off);
-        for fusion in [FusionConfig::Default, FusionConfig::Aggressive] {
-            let fused = run(fusion);
-            assert_eq!(fused.reason, off.reason, "{fusion:?}: exit reason");
-            assert_eq!(fused.regs, off.regs, "{fusion:?}: registers");
-            assert_eq!(fused.cycles, off.cycles, "{fusion:?}: cycles");
-            assert_eq!(fused.instrs, off.instrs, "{fusion:?}: instrs");
-            assert_eq!(fused.profile, off.profile, "{fusion:?}: profile");
-        }
+        let fused = run(FusionConfig::Aggressive);
+        assert_eq!(fused.reason, off.reason, "exit reason");
+        assert_eq!(fused.regs, off.regs, "registers");
+        assert_eq!(fused.cycles, off.cycles, "cycles");
+        assert_eq!(fused.instrs, off.instrs, "instrs");
+        assert_eq!(fused.profile, off.profile, "profile");
         off
     }
 
@@ -3483,7 +3477,7 @@ mod tests {
         a.jr(Reg::Ra);
         a.nop();
         let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-        for fusion in [FusionConfig::Off, FusionConfig::Default, FusionConfig::Aggressive] {
+        for fusion in [FusionConfig::Off, FusionConfig::Aggressive] {
             let config = SimConfig {
                 max_steps: 1,
                 fusion,
@@ -3647,11 +3641,7 @@ mod tests {
         };
         let (base, _) = run(FusionConfig::Off, false);
         let mut keep = None;
-        for fusion in [
-            FusionConfig::Off,
-            FusionConfig::Default,
-            FusionConfig::Aggressive,
-        ] {
+        for fusion in [FusionConfig::Off, FusionConfig::Aggressive] {
             let (sb, stats) = run(fusion, true);
             assert_eq!(sb.reason, base.reason, "{fusion:?}+sb: exit reason");
             assert_eq!(sb.regs, base.regs, "{fusion:?}+sb: registers");

@@ -3,7 +3,7 @@
 //! The original flow handed RTL VHDL to Xilinx ISE; we emit equivalent
 //! FSM-plus-datapath VHDL text (entity, state machine, per-step datapath
 //! transfers). The area/clock numbers come from this crate's technology
-//! model instead of ISE — see DESIGN.md for the substitution note.
+//! model instead of ISE.
 
 use crate::schedule::BlockSchedule;
 use binpart_cdfg::ir::{BinOp, Function, Op, Operand, UnOp};

@@ -13,11 +13,7 @@ use binpart::mips::reference::ReferenceMachine;
 use binpart::mips::sim::{BlockCountProfiler, FusionConfig, Machine, SimConfig, SimError};
 use binpart::workloads::suite;
 
-const FUSION_LEVELS: [FusionConfig; 3] = [
-    FusionConfig::Off,
-    FusionConfig::Default,
-    FusionConfig::Aggressive,
-];
+const FUSION_LEVELS: [FusionConfig; 2] = [FusionConfig::Off, FusionConfig::Aggressive];
 
 fn config(fusion: FusionConfig) -> SimConfig {
     SimConfig {

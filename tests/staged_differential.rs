@@ -1,9 +1,10 @@
-//! Differential verification of this PR's staged/optimized paths against
-//! their monolithic/reference counterparts:
+//! Differential verification of the staged/optimized paths against their
+//! cold/reference counterparts:
 //!
-//! * the staged flow (`binpart::core::stage::StagedFlow`) vs the
-//!   monolithic `Flow::run` — identical `HybridReport` and `Partition`
-//!   across the benchmark × OptLevel matrix;
+//! * one shared `binpart::core::stage::StagedFlow` per binary, serving memo
+//!   hits across option points, vs a cold `Flow::run` per point —
+//!   identical `HybridReport` and `Partition` across the benchmark ×
+//!   OptLevel matrix;
 //! * the dense (index/bitset-based) SSA construction vs the retained
 //!   map-based oracle (`ssa::reference_construct`) — identical functions
 //!   (same phi placement, same SSA names), identical live-ins, identical
@@ -20,11 +21,12 @@ use binpart::minicc::OptLevel;
 use binpart::platform::Platform;
 use binpart::workloads::suite;
 
-/// Staged evaluation must be bit-identical to the monolithic flow for
-/// every (benchmark, OptLevel) cell, including the cells where CDFG
-/// recovery fails.
+/// Evaluation through one shared `StagedFlow` (profile, CDFG and synthesis
+/// served from its caches after the first point) must be bit-identical to
+/// a cold `Flow::run` per point for every (benchmark, OptLevel) cell,
+/// including the cells where CDFG recovery fails.
 #[test]
-fn staged_flow_matches_monolithic_flow_across_matrix() {
+fn shared_staged_flow_matches_cold_flow_across_matrix() {
     for b in suite() {
         for level in OptLevel::ALL {
             let binary = b.compile(level).unwrap();
@@ -38,9 +40,9 @@ fn staged_flow_matches_monolithic_flow_across_matrix() {
                     options.decompile.recover_jump_tables = true;
                     options.partition.area_budget_gates = budget;
                     let tag = format!("{} {level} @{clock}Hz/{budget}", b.name);
-                    let mono = Flow::new(options.clone()).run(&binary);
+                    let cold = Flow::new(options.clone()).run(&binary);
                     let st = staged.evaluate(&options);
-                    match (mono, st) {
+                    match (cold, st) {
                         (Ok(m), Ok(s)) => {
                             assert_eq!(
                                 m.hybrid.app_speedup.to_bits(),
@@ -107,7 +109,7 @@ fn staged_flow_matches_monolithic_flow_across_matrix() {
                             assert_eq!(format!("{m}"), format!("{s}"), "{tag}: errors differ")
                         }
                         (m, s) => panic!(
-                            "{tag}: monolithic {:?} vs staged {:?}",
+                            "{tag}: cold {:?} vs staged {:?}",
                             m.map(|r| r.hybrid.app_speedup),
                             s.map(|r| r.hybrid.app_speedup)
                         ),
