@@ -10,7 +10,10 @@
 //! `cargo bench -p binpart-bench --bench sweep_explore -- --smoke` runs
 //! the CI perf smoke instead: best-of-3 single-core passes per engine,
 //! asserting the staged sweep is never slower than the naive loop and
-//! that `BENCH_sim.json` (if present) carries the sweep columns.
+//! that `BENCH_sim.json` (if present) carries the sweep columns. On a
+//! machine with two or more CPUs it also times the staged sweep at
+//! `BINPART_THREADS=2` and asserts two workers take at most 1.1× the
+//! single-worker wall clock.
 
 use binpart_core::flow::FlowOptions;
 use binpart_explore::Sweep;
@@ -47,7 +50,8 @@ fn bench(c: &mut Criterion) {
 }
 
 /// CI perf smoke: the staged sweep must never be slower than the naive
-/// per-point loop, and the tracked snapshot must carry the sweep columns.
+/// per-point loop, two workers must not be slower than one (within 10 %),
+/// and the tracked snapshot must carry the sweep columns.
 fn smoke() {
     let (sweep, b) = acceptance_sweep();
     let compile = |level: OptLevel| b.compile(level).map_err(|e| e.to_string());
@@ -71,6 +75,23 @@ fn smoke() {
         staged_s <= naive_s,
         "staged sweep slower than the naive loop: {staged_s:.4} s vs {naive_s:.4} s"
     );
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cpus >= 2 {
+        std::env::set_var("BINPART_THREADS", "2");
+        let (two_s, two_n) = binpart_bench::best_of(3, &|| sweep.run(compile).points.len() as u64);
+        std::env::remove_var("BINPART_THREADS");
+        assert_eq!(two_n, points, "2-worker sweep must evaluate the whole grid");
+        println!(
+            "smoke: staged 1 worker {staged_s:.4} s | 2 workers {two_s:.4} s ({:.2}x)",
+            staged_s / two_s
+        );
+        assert!(
+            two_s <= 1.1 * staged_s,
+            "2-worker staged sweep slower than 1 worker: {two_s:.4} s vs {staged_s:.4} s"
+        );
+    } else {
+        println!("smoke: {cpus} CPU, 2-worker scaling check skipped");
+    }
     binpart_bench::assert_snapshot_columns(&[
         "decompile_funcs_per_sec",
         "sweep_points_per_sec",

@@ -21,7 +21,10 @@ use binpart_cdfg::ir::Function;
 use binpart_cdfg::loops::LoopForest;
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, CycleModel};
-use binpart_synth::{EstimateCache, ResourceBudget, SynthesisInput, SynthesisResult, TechLibrary};
+use binpart_synth::{
+    EstimateCache, MemoTally, ResourceBudget, SynthesisResult, TechLibrary, Variant,
+};
+use std::sync::Arc;
 
 /// Partitioner tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,8 +80,9 @@ pub struct SelectedKernel {
     pub bram_bytes: u64,
     /// Memory summary from alias analysis.
     pub regions: RegionSummary,
-    /// Synthesis result (timing, area, VHDL).
-    pub synth: SynthesisResult,
+    /// Synthesis result (timing, area, VHDL), shared with the memo that
+    /// produced it.
+    pub synth: Arc<SynthesisResult>,
     /// Which partitioning step selected it (1, 2, or 3).
     pub step: u8,
 }
@@ -285,31 +289,38 @@ fn measured_back_edges(
 /// [`harvest_candidates`]: applies the `min_share` filter, ranks, and runs
 /// steps 1–3, synthesizing through `cache`.
 ///
-/// `total_sw_cycles` is the whole-program profiled cycle count. Memoized
-/// synthesis is bit-identical to a fresh one — synthesis is deterministic
-/// and the cache key covers every input (see [`binpart_synth::estimate`]);
-/// the cache must only be shared across calls passing the same `prog` (the
+/// `total_sw_cycles` is the whole-program profiled cycle count. Each
+/// candidate is memoized under its index in [`CandidateSet::candidates`],
+/// so `cache` needs at least that many slots. Memoized synthesis is
+/// bit-identical to a fresh one — synthesis is deterministic and the cache
+/// key covers every input (see [`binpart_synth::estimate`]); the cache must
+/// only be shared across calls passing the same `prog` and `set` (the
 /// staged flow guarantees this by owning one cache per estimated-program
 /// artifact).
-pub fn partition_with_candidates(
+///
+/// Returns the partition and this call's memo hit/miss counts, which are
+/// also added to `cache`'s totals (once, at the end of the call).
+pub fn partition_with_candidates<'a>(
     prog: &DecompiledProgram,
-    set: &CandidateSet,
+    set: &'a CandidateSet,
     total_sw_cycles: u64,
     options: &PartitionOptions,
     budget: &ResourceBudget,
     library: &TechLibrary,
-    cache: &EstimateCache,
-) -> Partition {
+    cache: &'a EstimateCache,
+) -> (Partition, MemoTally) {
     let data_end = set.data_end;
     let mut log = Vec::new();
     // min_share filter (deferred from harvest so the candidate set is
-    // option-independent), then profile ranking.
-    let mut candidates: Vec<&Candidate> = set
+    // option-independent), then profile ranking. Each candidate keeps its
+    // index in `set.candidates`: its memo slot.
+    let mut candidates: Vec<(usize, &Candidate)> = set
         .candidates
         .iter()
-        .filter(|c| (c.sw_cycles as f64) >= options.min_share * total_sw_cycles as f64)
+        .enumerate()
+        .filter(|(_, c)| (c.sw_cycles as f64) >= options.min_share * total_sw_cycles as f64)
         .collect();
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.sw_cycles));
+    candidates.sort_by_key(|(_, c)| std::cmp::Reverse(c.sw_cycles));
 
     let mut kernels: Vec<SelectedKernel> = Vec::new();
     let mut area_used = 0u64;
@@ -318,31 +329,36 @@ pub fn partition_with_candidates(
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
     /// Why a candidate was not selected.
-    enum Reject {
+    enum Reject<'e> {
         /// Synthesis itself failed — a per-region degradation, diagnosed.
-        Synth(binpart_synth::SynthError),
+        Synth(&'e binpart_synth::SynthError),
         /// Would blow the area budget — a normal heuristic outcome.
         Area,
         /// Hardware would not beat software — a normal heuristic outcome.
         Unsuitable,
     }
 
-    let try_select = |c: &Candidate,
-                      mem_in_bram: bool,
-                      bram_bytes: u64,
-                      area_used: u64|
-     -> Result<SynthesisResult, Reject> {
-        let f = &prog.functions[c.func_index];
-        let input = SynthesisInput {
-            function: f,
-            region: c.blocks.clone(),
+    let mut tally = MemoTally::default();
+    let mut try_select = |(slot, c): (usize, &Candidate),
+                          mem_in_bram: bool,
+                          bram_bytes: u64,
+                          area_used: u64|
+     -> Result<&'a Arc<SynthesisResult>, Reject<'a>> {
+        let variant = Variant {
             mem_in_bram,
             bram_bytes,
-            budget: *budget,
-            library: library.clone(),
+            budget,
+            library,
         };
         let r = cache
-            .synthesize(c.func_index, &input)
+            .synthesize(
+                slot,
+                &prog.functions[c.func_index],
+                &c.blocks,
+                &variant,
+                &mut tally,
+            )
+            .as_ref()
             .map_err(Reject::Synth)?;
         if area_used + r.area.gate_equivalents > options.area_budget_gates {
             return Err(Reject::Area);
@@ -371,14 +387,14 @@ pub fn partition_with_candidates(
     };
 
     // ---- step 1: most frequent loops to ~coverage ----
-    for (ci, c) in candidates.iter().enumerate() {
+    for (ci, &(slot, c)) in candidates.iter().enumerate() {
         if kernels.len() >= options.max_kernels {
             break;
         }
         if (covered as f64) >= options.coverage * total_sw_cycles as f64 {
             break;
         }
-        let synth = match try_select(c, false, 0, area_used) {
+        let synth = match try_select((slot, c), false, 0, area_used) {
             Ok(synth) => synth,
             Err(rej) => {
                 note_synth(&mut diagnostics, &c.name, &rej);
@@ -402,7 +418,7 @@ pub fn partition_with_candidates(
             mem_in_bram: false,
             bram_bytes: 0,
             regions: c.regions.clone(),
-            synth,
+            synth: Arc::clone(synth),
             step: 1,
         });
         taken.push(ci);
@@ -415,7 +431,8 @@ pub fn partition_with_candidates(
         for k in &kernels {
             shared_bases.extend(k.regions.globals.iter().copied());
         }
-        for k in &mut kernels {
+        // Every kernel so far came from step 1, in `taken` order.
+        for (k, &ci) in kernels.iter_mut().zip(&taken) {
             if !k.regions.fully_resolved() || k.regions.globals.is_empty() {
                 continue;
             }
@@ -425,20 +442,10 @@ pub fn partition_with_candidates(
                 .iter()
                 .map(|&b| alias::extent_of(&shared_bases, b, data_end) as u64)
                 .sum();
-            let c = Candidate {
-                func_index: k.func_index,
-                blocks: k.blocks.clone(),
-                header: k.header,
-                name: k.name.clone(),
-                sw_cycles: k.sw_cycles,
-                invocations: k.invocations,
-                regions: k.regions.clone(),
-                suitability: 1.0,
-            };
             let prev_area = k.synth.area.gate_equivalents;
             // A BRAM re-synthesis failure is not a degradation: the kernel
             // stays in hardware with its step-1 synthesis.
-            if let Ok(synth) = try_select(&c, true, bytes, area_used - prev_area) {
+            if let Ok(synth) = try_select(candidates[ci], true, bytes, area_used - prev_area) {
                 area_used = area_used - prev_area + synth.area.gate_equivalents;
                 log.push(format!(
                     "step2: {} memory ({} bytes) moved to BRAM",
@@ -446,11 +453,11 @@ pub fn partition_with_candidates(
                 ));
                 k.mem_in_bram = true;
                 k.bram_bytes = bytes;
-                k.synth = synth;
+                k.synth = Arc::clone(synth);
             }
         }
         // Pull in other candidates touching the same arrays.
-        for (ci, c) in candidates.iter().enumerate() {
+        for (ci, &(slot, c)) in candidates.iter().enumerate() {
             if taken.contains(&ci) || kernels.len() >= options.max_kernels {
                 continue;
             }
@@ -460,7 +467,7 @@ pub fn partition_with_candidates(
                 continue;
             }
             let bram = c.regions.fully_resolved();
-            let synth = match try_select(c, bram, 0, area_used) {
+            let synth = match try_select((slot, c), bram, 0, area_used) {
                 Ok(synth) => synth,
                 Err(rej) => {
                     note_synth(&mut diagnostics, &c.name, &rej);
@@ -479,7 +486,7 @@ pub fn partition_with_candidates(
                 mem_in_bram: bram,
                 bram_bytes: 0,
                 regions: c.regions.clone(),
-                synth,
+                synth: Arc::clone(synth),
                 step: 2,
             });
             taken.push(ci);
@@ -491,17 +498,18 @@ pub fn partition_with_candidates(
         .filter(|i| !taken.contains(i))
         .collect();
     rest.sort_by(|&a, &b| {
-        let sa = candidates[a].sw_cycles as f64 * candidates[a].suitability;
-        let sb = candidates[b].sw_cycles as f64 * candidates[b].suitability;
+        let (sa, sb) = (candidates[a].1, candidates[b].1);
+        let sa = sa.sw_cycles as f64 * sa.suitability;
+        let sb = sb.sw_cycles as f64 * sb.suitability;
         sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
     });
     for ci in rest {
         if kernels.len() >= options.max_kernels {
             break;
         }
-        let c = &candidates[ci];
+        let (slot, c) = candidates[ci];
         let bram = c.regions.fully_resolved() && options.alias_step;
-        let synth = match try_select(c, bram, 0, area_used) {
+        let synth = match try_select((slot, c), bram, 0, area_used) {
             Ok(synth) => synth,
             Err(rej) => {
                 note_synth(&mut diagnostics, &c.name, &rej);
@@ -521,16 +529,18 @@ pub fn partition_with_candidates(
             mem_in_bram: bram,
             bram_bytes: 0,
             regions: c.regions.clone(),
-            synth,
+            synth: Arc::clone(synth),
             step: 3,
         });
     }
 
-    Partition {
+    cache.record(tally);
+    let partition = Partition {
         kernels,
         total_area_gates: area_used,
         total_sw_cycles,
         log,
         diagnostics,
-    }
+    };
+    (partition, tally)
 }

@@ -32,9 +32,24 @@
 //! (asserted across the benchmark × opt-level matrix by
 //! `tests/staged_differential.rs`).
 //!
+//! # Concurrency
+//!
 //! Artifacts are built at most once per key even under concurrency: each
-//! cache slot is guarded by its own [`OnceLock`], so parallel sweep
-//! points asking for different artifacts never serialize on each other.
+//! stage cache maps its key to a [`OnceLock`] slot. Finding the slot takes
+//! the stage map's mutex briefly on every stage call, hit or miss, and a
+//! caller asking for an artifact that another thread is still building
+//! *waits* for it — so parallel callers that all go through
+//! [`evaluate`](StagedFlow::evaluate) do serialize: on the map lock, and
+//! behind whichever thread is simulating the artifact they need.
+//!
+//! Evaluating an already-built artifact does not. Fetch the artifact once
+//! with [`estimate`](StagedFlow::estimate), then call
+//! [`evaluate_est`](StagedFlow::evaluate_est) per point: memo hits are
+//! lock-free and allocation-free (see [`binpart_synth::estimate`]), a miss
+//! only waits for the synthesis of its own kernel, and each evaluation
+//! adds its memo counts to the shared totals once. `binpart-explore`'s
+//! sweep builds every artifact of its grid first, in parallel, then
+//! evaluates the points this way.
 //!
 //! # Example
 //!
@@ -80,7 +95,7 @@ use crate::partition::{
 use binpart_mips::sim::{EdgeProfiler, Exit, Machine, SimConfig};
 use binpart_mips::Binary;
 use binpart_platform::{HardwareKernel, HybridReport};
-use binpart_synth::EstimateCache;
+use binpart_synth::{EstimateCache, MemoTally};
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -95,7 +110,7 @@ pub struct EstimatedProgram {
     /// Hardware candidates (outermost call-free loop nests).
     pub candidates: CandidateSet,
     /// Memoized per-kernel synthesis results, shared by every evaluation
-    /// of this artifact.
+    /// of this artifact: one slot per entry of `candidates.candidates`.
     pub cache: EstimateCache,
     /// Profiled all-software cycles.
     pub sw_cycles: u64,
@@ -134,7 +149,7 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, FlowError>>>;
 /// `binpart_telemetry`'s crate docs for the contract). An instrumented
 /// flow ([`with_telemetry`](StagedFlow::with_telemetry)) emits a span
 /// per stage execution, `OnceLock`-slot hit/miss counters per stage
-/// call, [`EstimateCache`] memo deltas per evaluation, superblock
+/// call, [`EstimateCache`] memo counts per evaluation, superblock
 /// engine counters from the profile run, and every [`Diagnostic`](crate::diag::Diagnostic)
 /// as a structured event.
 pub struct StagedFlow<'b, T: Telemetry = NullTelemetry> {
@@ -314,8 +329,8 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             let stats = program.stats;
             Ok(Arc::new(EstimatedProgram {
                 program,
+                cache: EstimateCache::new(candidates.candidates.len()),
                 candidates,
-                cache: EstimateCache::new(),
                 sw_cycles: exit.cycles,
                 sw_exit_value: exit.reg(binpart_mips::Reg::V0),
                 stats,
@@ -341,12 +356,18 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         Ok(self.evaluate_est(&est, options))
     }
 
-    /// Evaluate one option point against an already-built artifact, with
-    /// span/counter attribution: an `evaluate` span, the artifact's
-    /// [`EstimateCache`] hit/miss delta (approximate under concurrent
+    /// Stage 4 against an already-built artifact: what
+    /// [`evaluate`](StagedFlow::evaluate) does after its
+    /// [`estimate`](StagedFlow::estimate) call, for callers that fetched
+    /// `est` once and evaluate many points against it. `est` should come
+    /// from this flow's `estimate` with `options.decompile` and
+    /// `options.sim`; the result is then identical to `evaluate(options)`.
+    ///
+    /// Attribution: an `evaluate` span, this call's own
+    /// [`EstimateCache`] hit/miss counts (exact under concurrent
     /// evaluations of the same artifact), and a `diagnostic` event per
     /// degradation record.
-    fn evaluate_est(&self, est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
+    pub fn evaluate_est(&self, est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
         let _span = SpanGuard::enter(&self.telemetry, "evaluate", || {
             format!(
                 "clock={:.0}MHz budget={}",
@@ -354,13 +375,12 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
                 options.partition.area_budget_gates
             )
         });
-        let (h0, m0) = if T::ENABLED { (est.cache.hits(), est.cache.misses()) } else { (0, 0) };
-        let report = evaluate_artifact(est, options);
+        let (report, tally) = evaluate_artifact(est, options);
         if T::ENABLED {
             self.telemetry
-                .counter_add(Counter::EstimateCacheHit, est.cache.hits().saturating_sub(h0));
+                .counter_add(Counter::EstimateCacheHit, tally.hits);
             self.telemetry
-                .counter_add(Counter::EstimateCacheMiss, est.cache.misses().saturating_sub(m0));
+                .counter_add(Counter::EstimateCacheMiss, tally.misses);
             emit_diagnostics(&self.telemetry, &report.diagnostics);
         }
         report
@@ -412,11 +432,12 @@ pub(crate) fn emit_diagnostics<T: Telemetry>(tel: &T, diagnostics: &[crate::diag
 }
 
 /// Partition + evaluate one option point against a stage-3 artifact, with
-/// synthesis served from the artifact's memo.
-fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
+/// synthesis served from the artifact's memo; also returns the memo counts
+/// of this call.
+fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> (StagedReport, MemoTally) {
     let mut popts: PartitionOptions = options.partition.clone();
     popts.cpu_clock_hz = options.platform.cpu.clock_hz;
-    let partition = partition_with_candidates(
+    let (partition, tally) = partition_with_candidates(
         &est.program,
         &est.candidates,
         est.sw_cycles,
@@ -441,14 +462,15 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
     let hybrid = options.platform.hybrid(est.sw_cycles, &kernels);
     let mut diagnostics = est.program.diagnostics.clone();
     diagnostics.extend(partition.diagnostics.iter().cloned());
-    StagedReport {
+    let report = StagedReport {
         sw_cycles: est.sw_cycles,
         sw_exit_value: est.sw_exit_value,
         hybrid,
         stats: est.stats,
         partition,
         diagnostics,
-    }
+    };
+    (report, tally)
 }
 
 #[cfg(test)]
@@ -681,6 +703,42 @@ mod tests {
             first.hybrid.app_speedup.to_bits()
         );
         assert_eq!(plain.partition.log, first.partition.log);
+    }
+
+    /// Two threads evaluating one artifact at once: each evaluation
+    /// reports its own memo counts, so the recorded totals match the
+    /// cache's exactly (no lookup counted twice or missed).
+    #[test]
+    fn concurrent_evaluations_attribute_memo_counts_exactly() {
+        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
+        let rec = binpart_telemetry::Recorder::new();
+        let staged = StagedFlow::with_telemetry(&binary, &rec);
+        let base = FlowOptions::default();
+        let est = staged.estimate(base.decompile, base.sim).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (staged, est, base, start) = (&staged, &est, &base, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for budget in [10u64, 5_000, 40_000, 150_000, 250_000] {
+                        let mut options = base.clone();
+                        options.partition.area_budget_gates = budget + t;
+                        let _ = staged.evaluate_est(est, &options);
+                    }
+                });
+            }
+        });
+        assert!(est.cache.misses() > 0 && est.cache.hits() > 0);
+        assert_eq!(
+            rec.counter_total(Counter::EstimateCacheHit),
+            est.cache.hits()
+        );
+        assert_eq!(
+            rec.counter_total(Counter::EstimateCacheMiss),
+            est.cache.misses()
+        );
+        assert_eq!(est.cache.misses(), est.cache.len() as u64);
     }
 
     #[test]

@@ -17,9 +17,25 @@
 //! synthesis per artifact — see `binpart_core::stage` for the exact
 //! invalidation table). A clock × budget sweep therefore simulates,
 //! decompiles, and synthesizes **once** and spends the rest of the grid in
-//! the selection loop. Points are evaluated in parallel with
-//! [`binpart_par::par_map`] (`BINPART_THREADS=1` forces sequential), and
-//! results are deterministic and ordered regardless of thread count.
+//! the selection loop.
+//!
+//! [`Sweep::run`] works in two parallel phases ([`binpart_par::par_map`];
+//! `BINPART_THREADS=1` forces sequential):
+//!
+//! 1. **Artifacts.** The distinct (level, decompile options, sim config)
+//!    keys of the grid — one per level unless a custom axis changes those
+//!    options — are built concurrently, one
+//!    [`StagedFlow::estimate`] each. No worker waits inside another's
+//!    artifact build. A failed build fails every point of its key with
+//!    the message a cold [`Flow::run`] gives.
+//! 2. **Points.** Every point is evaluated against its resolved artifact
+//!    with [`StagedFlow::evaluate_est`], in short runs of one artifact's
+//!    points taken round-robin over the artifacts, so concurrent workers
+//!    rarely wait on the same kernel's first synthesis. Memo hits share no
+//!    mutable state (see `binpart_synth::estimate`), so points scale
+//!    across workers.
+//!
+//! Results are deterministic and in grid order regardless of thread count.
 //!
 //! [`Sweep::run_naive`] evaluates the same grid through a cold
 //! [`Flow::run`] per point — the baseline the staged engine is measured
@@ -55,11 +71,14 @@
 //! ```
 
 use binpart_core::flow::{Flow, FlowOptions};
+use binpart_core::lift::DecompileOptions;
+use binpart_core::partition::Partition;
 use binpart_core::stage::StagedFlow;
+use binpart_mips::sim::SimConfig;
 use binpart_mips::Binary;
 use binpart_minicc::OptLevel;
 use binpart_par::par_map;
-use binpart_platform::ProcessorSpec;
+use binpart_platform::{HybridReport, ProcessorSpec};
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::sync::Arc;
 
@@ -228,8 +247,10 @@ impl Sweep {
     }
 
     /// Runs the sweep through the staged flow: one compile + one
-    /// [`StagedFlow`] per [`OptLevel`], all points sharing its artifacts,
-    /// evaluated in parallel. Point order matches [`Sweep::configs`].
+    /// [`StagedFlow`] per [`OptLevel`], all points sharing its artifacts;
+    /// the artifacts are built in parallel first, then the points are
+    /// evaluated in parallel (see the crate docs). Point order matches
+    /// [`Sweep::configs`].
     pub fn run(&self, compile: impl FnMut(OptLevel) -> Result<Binary, String>) -> SweepResult {
         self.run_impl(&NullTelemetry, compile, false)
     }
@@ -274,53 +295,126 @@ impl Sweep {
         for &level in &self.opt_levels {
             binaries.push((level, compile(level)));
         }
-        let staged: Vec<Option<StagedFlow<'_, &T>>> = binaries
-            .iter()
-            .map(|(_, b)| b.as_ref().ok().map(|bin| StagedFlow::with_telemetry(bin, telemetry)))
-            .collect();
         let level_index =
             |level: OptLevel| binaries.iter().position(|(l, _)| *l == level).expect("own level");
-        let points = par_map(&configs, |config| {
-            let li = level_index(config.level);
-            let options = self.options_for(config);
-            let outcome = match (&binaries[li].1, &staged[li]) {
-                (Err(e), _) => Err(format!("compile failed: {e}")),
-                (Ok(binary), Some(flow)) => {
-                    let evaluated = if naive {
-                        Flow::new(options)
-                            .run(binary)
-                            .map(|r| (r.sw_cycles, r.sw_exit_value, r.hybrid, r.partition))
-                    } else {
-                        flow.evaluate(&options)
-                            .map(|r| (r.sw_cycles, r.sw_exit_value, r.hybrid, r.partition))
-                    };
-                    evaluated
-                        .map(
-                            |(sw_cycles, sw_exit_value, hybrid, partition)| PointReport {
-                                sw_cycles,
-                                sw_exit_value,
-                                speedup: hybrid.app_speedup,
-                                energy_savings: hybrid.energy_savings,
-                                area_gates: hybrid.total_area_gates,
-                                kernels: partition.kernels.len(),
-                                coverage: partition.coverage(),
-                                sw_time_s: hybrid.sw_time_s,
-                                hybrid_time_s: hybrid.hybrid_time_s,
-                            },
-                        )
-                        .map_err(|e| e.to_string())
-                }
-                (Ok(_), None) => unreachable!("staged flow exists for compiled binaries"),
-            };
+        let finish = |config: &PointConfig, outcome: Result<PointReport, String>| {
             telemetry.counter_add(
-                if outcome.is_ok() { Counter::SweepPointsOk } else { Counter::SweepPointsFailed },
+                if outcome.is_ok() {
+                    Counter::SweepPointsOk
+                } else {
+                    Counter::SweepPointsFailed
+                },
                 1,
             );
             SweepPoint {
                 config: config.clone(),
                 outcome,
             }
-        });
+        };
+        let points = if naive {
+            par_map(&configs, |config| {
+                let outcome = match &binaries[level_index(config.level)].1 {
+                    Err(e) => Err(format!("compile failed: {e}")),
+                    Ok(binary) => Flow::new(self.options_for(config))
+                        .run(binary)
+                        .map(|r| {
+                            PointReport::new(r.sw_cycles, r.sw_exit_value, &r.hybrid, &r.partition)
+                        })
+                        .map_err(|e| e.to_string()),
+                };
+                finish(config, outcome)
+            })
+        } else {
+            let staged: Vec<Option<StagedFlow<'_, &T>>> = binaries
+                .iter()
+                .map(|(_, b)| {
+                    b.as_ref()
+                        .ok()
+                        .map(|bin| StagedFlow::with_telemetry(bin, telemetry))
+                })
+                .collect();
+            // The grid's distinct stage-3 artifact keys (level, decompile
+            // options, sim config). The clock and budget axes never touch
+            // the decompile or sim options, so without custom axes every
+            // point of a level has the base key and needs no options of
+            // its own here.
+            //
+            // Phase 2 evaluates the points in runs of up to `RUN`
+            // consecutive points of one artifact, taken round-robin over
+            // the artifacts (the first run of each, then the second of
+            // each, ...). The first points of an artifact synthesize its
+            // kernels; in grid order, concurrent workers would all ask for
+            // the same kernels and wait on each other's synthesis, where
+            // this way they mostly work on different artifacts. `order`
+            // holds (run, key, point) per point.
+            const RUN: usize = 16;
+            let mut keys: Vec<(usize, DecompileOptions, SimConfig)> = Vec::new();
+            let mut points_of_key: Vec<usize> = Vec::new();
+            let mut order: Vec<(usize, usize, usize)> = configs
+                .iter()
+                .enumerate()
+                .map(|(i, config)| {
+                    let li = level_index(config.level);
+                    let key = if self.axes.is_empty() {
+                        (li, self.base.decompile, self.base.sim)
+                    } else {
+                        let options = self.options_for(config);
+                        (li, options.decompile, options.sim)
+                    };
+                    let k = keys.iter().rposition(|x| *x == key).unwrap_or_else(|| {
+                        keys.push(key);
+                        points_of_key.push(0);
+                        keys.len() - 1
+                    });
+                    points_of_key[k] += 1;
+                    ((points_of_key[k] - 1) / RUN, k, i)
+                })
+                .collect();
+            order.sort_unstable();
+            // Phase 1: build every artifact of the grid, in parallel. A
+            // failed build fails every point of its key with the same
+            // message a cold `Flow::run` gives.
+            let artifacts = par_map(&keys, |&(li, decompile, sim)| {
+                match (&binaries[li].1, &staged[li]) {
+                    (Err(e), _) => Err(format!("compile failed: {e}")),
+                    (Ok(_), Some(flow)) => flow.estimate(decompile, sim).map_err(|e| e.to_string()),
+                    (Ok(_), None) => unreachable!("staged flow exists for compiled binaries"),
+                }
+            });
+            // Phase 2: every point against its resolved artifact.
+            let runs: Vec<&[(usize, usize, usize)]> =
+                order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)).collect();
+            let evaluated = par_map(&runs, |run| {
+                run.iter()
+                    .map(|&(_, k, i)| {
+                        let config = &configs[i];
+                        let outcome = match &artifacts[k] {
+                            Err(e) => Err(e.clone()),
+                            Ok(est) => {
+                                let flow = staged[keys[k].0].as_ref().expect("artifact has a flow");
+                                let r = flow.evaluate_est(est, &self.options_for(config));
+                                Ok(PointReport::new(
+                                    r.sw_cycles,
+                                    r.sw_exit_value,
+                                    &r.hybrid,
+                                    &r.partition,
+                                ))
+                            }
+                        };
+                        finish(config, outcome)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            // Back to grid order.
+            let mut points: Vec<Option<SweepPoint>> = (0..configs.len()).map(|_| None).collect();
+            for (&(_, _, i), point) in order.iter().zip(evaluated.into_iter().flatten()) {
+                points[i] = Some(point);
+            }
+            points
+                .into_iter()
+                .map(|p| p.expect("every point evaluated"))
+                .collect()
+        };
         if T::ENABLED {
             let ok = points.iter().filter(|p| p.outcome.is_ok()).count();
             telemetry.event("sweep_done", &format!("{}/{} points ok", ok, points.len()));
@@ -363,6 +457,27 @@ pub struct PointReport {
     pub sw_time_s: f64,
     /// Hybrid time (s).
     pub hybrid_time_s: f64,
+}
+
+impl PointReport {
+    fn new(
+        sw_cycles: u64,
+        sw_exit_value: u32,
+        hybrid: &HybridReport,
+        partition: &Partition,
+    ) -> PointReport {
+        PointReport {
+            sw_cycles,
+            sw_exit_value,
+            speedup: hybrid.app_speedup,
+            energy_savings: hybrid.energy_savings,
+            area_gates: hybrid.total_area_gates,
+            kernels: partition.kernels.len(),
+            coverage: partition.coverage(),
+            sw_time_s: hybrid.sw_time_s,
+            hybrid_time_s: hybrid.hybrid_time_s,
+        }
+    }
 }
 
 /// One evaluated grid point.

@@ -132,3 +132,32 @@ fn custom_axis_applies_to_flow_options() {
     assert!(one.kernels <= 1);
     assert!(eight.kernels >= one.kernels);
 }
+
+#[test]
+fn failed_artifact_builds_fail_their_points_like_the_naive_loop() {
+    // A tiny step budget trips the profiling run (a transient error) on
+    // every level: the staged sweep builds each artifact once, and every
+    // point of a failed key must carry the exact error a cold
+    // `Flow::run` reports. The second axis value restores the default
+    // budget, so succeeding and failing keys share one grid.
+    let mut base = base_with_recovery();
+    base.sim.max_steps = 50;
+    let sweep = Sweep::with_base(base)
+        .clocks([40e6, 200e6])
+        .area_budgets([15_000, 250_000])
+        .opt_levels([OptLevel::O0, OptLevel::O2])
+        .axis("max_steps", [50.0, 500_000_000.0], |options, v| {
+            options.sim.max_steps = v as u64;
+        });
+    let staged = sweep.run(bench_compile("autcor00"));
+    let naive = sweep.run_naive(bench_compile("autcor00"));
+    assert_eq!(staged.points.len(), 16);
+    assert_identical(&staged, &naive);
+    for p in &staged.points {
+        match (&p.outcome, p.config.axis_values[0] < 100.0) {
+            (Err(e), true) => assert!(e.contains("50"), "{e}"),
+            (Ok(_), false) => {}
+            (outcome, _) => panic!("unexpected outcome at {:?}: {outcome:?}", p.config),
+        }
+    }
+}

@@ -50,24 +50,24 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let slot_ptr = SendPtr(slots.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            let slot_ptr = &slot_ptr;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let value = f(&items[i]);
-                // SAFETY: each index is claimed by exactly one worker (the
-                // atomic fetch_add hands out distinct indices), so no two
-                // threads write the same slot, and the Vec outlives the scope.
-                unsafe { *slot_ptr.0.add(i) = Some(value) };
-            });
+    let slot_ptr = &SendPtr(slots.as_mut_ptr());
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
+        let value = f(&items[i]);
+        // SAFETY: each index is claimed by exactly one worker (the atomic
+        // fetch_add hands out distinct indices), so no two threads write
+        // the same slot, and the Vec outlives the scope.
+        unsafe { *slot_ptr.0.add(i) = Some(value) };
+    };
+    // The calling thread is one of the workers: `threads - 1` spawns.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

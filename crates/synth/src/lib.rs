@@ -46,7 +46,7 @@ pub mod schedule;
 pub mod tech;
 pub mod vhdl;
 
-pub use estimate::{EstimateCache, KernelKey};
+pub use estimate::{EstimateCache, MemoTally, Variant};
 pub use schedule::{AreaEstimate, BlockSchedule, KernelTiming, ResourceBudget};
 pub use tech::{FuClass, TechLibrary};
 
@@ -114,7 +114,13 @@ impl<'f> SynthesisInput<'f> {
 }
 
 /// Result of synthesizing one region.
+///
+/// Aligned to a cache line so that, behind an `Arc` (how the
+/// [`EstimateCache`] shares it), the reference counts sit on a line of
+/// their own: threads cloning the `Arc` of a selected kernel then do not
+/// evict the timing and area fields other threads are reading.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 pub struct SynthesisResult {
     /// Kernel entity name.
     pub name: String,
