@@ -49,7 +49,8 @@
 //! only waits for the synthesis of its own kernel, and each evaluation
 //! adds its memo counts to the shared totals once. `binpart-explore`'s
 //! sweep builds every artifact of its grid first, in parallel, then
-//! evaluates the points this way.
+//! evaluates the points this way. (Under a `Recorder`, each evaluation
+//! still records its span and counters under the recorder's one lock.)
 //!
 //! # Example
 //!

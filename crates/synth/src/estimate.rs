@@ -155,13 +155,6 @@ fn same_library(a: &TechLibrary, b: &TechLibrary) -> bool {
 /// (see the module docs). Thread-safe; wrap in `Arc` or borrow to share.
 pub struct EstimateCache {
     slots: Box<[Link]>,
-    totals: Totals,
-}
-
-/// The cache-wide counters, on a cache line of their own so that
-/// [`EstimateCache::record`] does not evict the slot table hits read.
-#[repr(align(64))]
-struct Totals {
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -171,10 +164,8 @@ impl EstimateCache {
     pub fn new(slots: usize) -> EstimateCache {
         EstimateCache {
             slots: (0..slots).map(|_| OnceLock::new()).collect(),
-            totals: Totals {
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            },
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -238,20 +229,18 @@ impl EstimateCache {
 
     /// Adds a batch's counts to the cache-wide totals.
     pub fn record(&self, tally: MemoTally) {
-        self.totals.hits.fetch_add(tally.hits, Ordering::Relaxed);
-        self.totals
-            .misses
-            .fetch_add(tally.misses, Ordering::Relaxed);
+        self.hits.fetch_add(tally.hits, Ordering::Relaxed);
+        self.misses.fetch_add(tally.misses, Ordering::Relaxed);
     }
 
     /// Recorded cache hits so far (observability for benches and tests).
     pub fn hits(&self) -> u64 {
-        self.totals.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Recorded synthesis runs so far.
     pub fn misses(&self) -> u64 {
-        self.totals.misses.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Number of distinct (kernel, variant) results cached.

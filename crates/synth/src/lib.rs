@@ -114,13 +114,7 @@ impl<'f> SynthesisInput<'f> {
 }
 
 /// Result of synthesizing one region.
-///
-/// Aligned to a cache line so that, behind an `Arc` (how the
-/// [`EstimateCache`] shares it), the reference counts sit on a line of
-/// their own: threads cloning the `Arc` of a selected kernel then do not
-/// evict the timing and area fields other threads are reading.
 #[derive(Debug, Clone)]
-#[repr(align(64))]
 pub struct SynthesisResult {
     /// Kernel entity name.
     pub name: String,

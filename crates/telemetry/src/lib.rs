@@ -79,11 +79,9 @@
 //!   sampled per-pc histogram keyed by recovered function extents
 //!   (pairs with `binpart_mips::sim::SamplingProfiler`).
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -349,16 +347,11 @@ impl fmt::Display for TelemetryError {
 
 impl std::error::Error for TelemetryError {}
 
-/// Cap on timestamped counter points kept for Chrome tracks, per shard
-/// (see [`Recorder`]); totals are always exact, overflow only degrades
-/// track resolution.
+/// Cap on timestamped counter points kept for Chrome tracks; totals are
+/// always exact, overflow only degrades track resolution.
 const SERIES_CAP: usize = 16_384;
-/// Cap on retained events, per shard; overflow is counted, not silently
-/// dropped.
+/// Cap on retained events; overflow is counted, not silently dropped.
 const EVENT_CAP: usize = 4_096;
-/// Independently locked shards per [`Recorder`]: up to this many threads
-/// record without ever sharing a lock.
-const SHARDS: usize = 16;
 
 struct SpanRec {
     name: &'static str,
@@ -379,17 +372,16 @@ struct CounterPoint {
     counter: Counter,
     ts_us: u64,
     delta: u64,
+    total: u64,
 }
 
-/// One shard's records. Cache-line aligned so neighbouring shards'
-/// locks never share a line.
 #[derive(Default)]
-#[repr(align(128))]
 struct Inner {
     spans: Vec<SpanRec>,
-    /// Per-thread stacks (by display id) of indices into `spans` (open
-    /// spans only).
-    open: Vec<(u32, Vec<usize>)>,
+    /// Per-thread stacks of indices into `spans` (open spans only).
+    open: HashMap<ThreadId, Vec<usize>>,
+    /// Dense display ids per OS thread, in first-seen order.
+    tids: HashMap<ThreadId, u32>,
     totals: [u64; Counter::COUNT],
     series: Vec<CounterPoint>,
     series_dropped: u64,
@@ -399,50 +391,19 @@ struct Inner {
 }
 
 impl Inner {
-    fn open_stack(&mut self, tid: u32) -> &mut Vec<usize> {
-        let i = match self.open.iter().position(|(t, _)| *t == tid) {
-            Some(i) => i,
-            None => {
-                self.open.push((tid, Vec::new()));
-                self.open.len() - 1
-            }
-        };
-        &mut self.open[i].1
+    fn tid(&mut self) -> u32 {
+        let next = self.tids.len() as u32;
+        *self.tids.entry(std::thread::current().id()).or_insert(next)
     }
 }
 
-/// Source of [`Recorder`] identities for the per-thread id cache.
-static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(recorder id, display id)` of the recorder this thread recorded
-    /// into last, so a thread consults a recorder's id map once, not per
-    /// record.
-    static LAST_TID: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
-}
-
-/// Locks a mutex whose data stays consistent even if a holder panicked
-/// (a panic under these locks can only come from allocation failure).
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// The in-memory sink: records spans, counters, and events, then
-/// aggregates ([`report`](Recorder::report)) or exports
+/// The in-memory sink: records spans, counters, and events under a
+/// mutex, then aggregates ([`report`](Recorder::report)) or exports
 /// ([`chrome_trace`](Recorder::chrome_trace)). Thread-safe; span
 /// nesting is tracked per thread.
-///
-/// Records are sharded by thread: each thread gets a dense display id in
-/// first-seen order and records into shard `id % 16` under that shard's
-/// own lock, so parallel workers (a sweep's `evaluate` calls) do not
-/// serialize on one mutex. Readers merge the shards by timestamp; counter
-/// tracks carry running totals recomputed over the merged order.
 pub struct Recorder {
     start: Instant,
-    id: u64,
-    /// Dense display ids per OS thread, in first-seen order.
-    tids: Mutex<HashMap<ThreadId, u32>>,
-    shards: Box<[Mutex<Inner>]>,
+    inner: Mutex<Inner>,
 }
 
 impl Default for Recorder {
@@ -454,47 +415,22 @@ impl Default for Recorder {
 impl Recorder {
     /// A fresh recorder; timestamps are relative to this call.
     pub fn new() -> Recorder {
-        Recorder {
-            start: Instant::now(),
-            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
-            tids: Mutex::new(HashMap::new()),
-            shards: (0..SHARDS).map(|_| Mutex::new(Inner::default())).collect(),
-        }
+        Recorder { start: Instant::now(), inner: Mutex::new(Inner::default()) }
     }
 
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// This thread's display id.
-    fn tid(&self) -> u32 {
-        LAST_TID.with(|last| {
-            let (recorder, tid) = last.get();
-            if recorder == self.id {
-                return tid;
-            }
-            let mut tids = relock(&self.tids);
-            let next = tids.len() as u32;
-            let tid = *tids.entry(std::thread::current().id()).or_insert(next);
-            last.set((self.id, tid));
-            tid
-        })
-    }
-
-    /// The shard thread `tid` records into.
-    fn shard(&self, tid: u32) -> MutexGuard<'_, Inner> {
-        relock(&self.shards[tid as usize % SHARDS])
-    }
-
-    /// Every shard, locked in index order (recording locks only one shard
-    /// at a time, so this cannot deadlock).
-    fn lock_all(&self) -> Vec<MutexGuard<'_, Inner>> {
-        self.shards.iter().map(relock).collect()
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        // A panic while holding this mutex can only come from allocation
+        // failure; poisoned state is still safe to read.
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Exact monotonic total for one counter.
     pub fn counter_total(&self, counter: Counter) -> u64 {
-        self.shards.iter().map(|s| relock(s).totals[counter.index()]).sum()
+        self.lock().totals[counter.index()]
     }
 
     /// Names of all currently open spans, outermost first, grouped by
@@ -502,14 +438,11 @@ impl Recorder {
     /// span stack at the point of the panic ([`SpanGuard`] leaves spans
     /// open while unwinding).
     pub fn open_span_stack(&self) -> Vec<String> {
-        let shards = self.lock_all();
-        let mut threads: Vec<(u32, &Inner, &Vec<usize>)> = shards
-            .iter()
-            .flat_map(|inner| inner.open.iter().map(move |(tid, stack)| (*tid, &**inner, stack)))
-            .collect();
-        threads.sort_by_key(|(tid, _, _)| *tid);
+        let inner = self.lock();
+        let mut threads: Vec<(&ThreadId, &Vec<usize>)> = inner.open.iter().collect();
+        threads.sort_by_key(|(id, _)| inner.tids.get(id).copied().unwrap_or(u32::MAX));
         let mut out = Vec::new();
-        for (_, inner, stack) in threads {
+        for (_, stack) in threads {
             for &i in stack {
                 let s = &inner.spans[i];
                 if s.detail.is_empty() {
@@ -526,15 +459,15 @@ impl Recorder {
     /// one per line — the post-mortem context torture attaches to a
     /// violation report.
     pub fn recent_activity(&self, n: usize) -> Vec<String> {
-        let shards = self.lock_all();
+        let inner = self.lock();
         let mut lines: Vec<(u64, String)> = Vec::new();
-        for (p, total) in merged_series(&shards).into_iter().rev().take(n) {
+        for p in inner.series.iter().rev().take(n) {
             lines.push((
                 p.ts_us,
-                format!("{:>10.3}ms  {} +{} (total {})", p.ts_us as f64 / 1e3, p.counter, p.delta, total),
+                format!("{:>10.3}ms  {} +{} (total {})", p.ts_us as f64 / 1e3, p.counter, p.delta, p.total),
             ));
         }
-        for e in merged_events(&shards).into_iter().rev().take(n) {
+        for e in inner.events.iter().rev().take(n) {
             lines.push((e.ts_us, format!("{:>10.3}ms  event {}: {}", e.ts_us as f64 / 1e3, e.name, e.detail)));
         }
         lines.sort_by_key(|(ts, _)| *ts);
@@ -546,10 +479,10 @@ impl Recorder {
     /// Open spans are counted at their elapsed-so-far duration.
     pub fn report(&self) -> TelemetryReport {
         let now = self.now_us();
-        let shards = self.lock_all();
+        let inner = self.lock();
         let mut by_name: HashMap<&'static str, SpanSummary> = HashMap::new();
         let mut order: Vec<&'static str> = Vec::new();
-        for s in merged_spans(&shards) {
+        for s in &inner.spans {
             let dur_s = s.dur_us.unwrap_or_else(|| now.saturating_sub(s.start_us)) as f64 / 1e6;
             let e = by_name.entry(s.name).or_insert_with(|| {
                 order.push(s.name);
@@ -560,18 +493,16 @@ impl Recorder {
             e.max_s = e.max_s.max(dur_s);
         }
         let spans = order.into_iter().filter_map(|n| by_name.remove(n)).collect();
-        let total = |c: &Counter| shards.iter().map(|s| s.totals[c.index()]).sum::<u64>();
         let counters = Counter::ALL
             .iter()
-            .filter(|c| total(c) > 0)
-            .map(|c| (c.name().to_string(), total(c)))
+            .filter(|c| inner.totals[c.index()] > 0)
+            .map(|c| (c.name().to_string(), inner.totals[c.index()]))
             .collect();
-        let sum = |f: fn(&Inner) -> u64| shards.iter().map(|s| f(s)).sum::<u64>();
         TelemetryReport {
             spans,
             counters,
-            events: sum(|s| s.events.len() as u64 + s.events_dropped),
-            errors: sum(|s| s.errors.len() as u64),
+            events: inner.events.len() as u64 + inner.events_dropped,
+            errors: inner.errors.len() as u64,
             wall_s: now as f64 / 1e6,
         }
     }
@@ -585,16 +516,12 @@ impl Recorder {
     /// [`TelemetryError::UnclosedSpans`] if spans are still open —
     /// never panics.
     pub fn chrome_trace(&self) -> Result<String, TelemetryError> {
-        let shards = self.lock_all();
-        if let Some(e) = shards.iter().find_map(|s| s.errors.first()) {
+        let inner = self.lock();
+        if let Some(e) = inner.errors.first() {
             return Err(e.clone());
         }
-        let open: Vec<String> = shards
-            .iter()
-            .flat_map(|inner| {
-                inner.open.iter().flat_map(move |(_, stack)| stack.iter().map(move |&i| inner.spans[i].name.to_string()))
-            })
-            .collect();
+        let open: Vec<String> =
+            inner.open.values().flat_map(|stack| stack.iter().map(|&i| inner.spans[i].name.to_string())).collect();
         if !open.is_empty() {
             return Err(TelemetryError::UnclosedSpans { names: open });
         }
@@ -608,7 +535,7 @@ impl Recorder {
                 out.push(',');
             }
         };
-        for s in merged_spans(&shards) {
+        for s in &inner.spans {
             sep(&mut out);
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"detail\":\"{}\"}}}}",
@@ -619,14 +546,14 @@ impl Recorder {
                 escape_json(&s.detail),
             ));
         }
-        for (p, total) in merged_series(&shards) {
+        for p in &inner.series {
             sep(&mut out);
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":0,\"args\":{{\"value\":{}}}}}",
-                p.counter, p.ts_us, total,
+                p.counter, p.ts_us, p.total,
             ));
         }
-        for e in merged_events(&shards) {
+        for e in &inner.events {
             sep(&mut out);
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\",\"args\":{{\"detail\":\"{}\"}}}}",
@@ -641,59 +568,23 @@ impl Recorder {
     }
 }
 
-/// Records of every shard in timestamp order; ties keep shard order, then
-/// record order (so one thread's records keep their order exactly).
-fn merged<'a, T>(
-    shards: &'a [MutexGuard<'_, Inner>],
-    records: fn(&Inner) -> &[T],
-    ts: fn(&T) -> u64,
-) -> Vec<&'a T> {
-    let mut all: Vec<&T> = shards.iter().flat_map(|s| records(s)).collect();
-    all.sort_by_key(|r| ts(r)); // stable
-    all
-}
-
-fn merged_spans<'a>(shards: &'a [MutexGuard<'_, Inner>]) -> Vec<&'a SpanRec> {
-    merged(shards, |s| &s.spans, |r| r.start_us)
-}
-
-fn merged_events<'a>(shards: &'a [MutexGuard<'_, Inner>]) -> Vec<&'a EventRec> {
-    merged(shards, |s| &s.events, |r| r.ts_us)
-}
-
-/// Counter points in timestamp order, each with its counter's running
-/// total over that order.
-fn merged_series<'a>(shards: &'a [MutexGuard<'_, Inner>]) -> Vec<(&'a CounterPoint, u64)> {
-    let mut totals = [0u64; Counter::COUNT];
-    merged(shards, |s| &s.series, |r| r.ts_us)
-        .into_iter()
-        .map(|p| {
-            totals[p.counter.index()] += p.delta;
-            (p, totals[p.counter.index()])
-        })
-        .collect()
-}
-
 impl Telemetry for Recorder {
     const ENABLED: bool = true;
 
-    // Everything that needs no lock (the clock, the thread's id, the
-    // detail copy) happens before taking the shard lock.
     fn span_enter(&self, name: &'static str, detail: &str) {
         let ts = self.now_us();
-        let tid = self.tid();
-        let detail = detail.to_string();
-        let mut inner = self.shard(tid);
+        let mut inner = self.lock();
+        let tid = inner.tid();
         let idx = inner.spans.len();
-        inner.spans.push(SpanRec { name, detail, tid, start_us: ts, dur_us: None });
-        inner.open_stack(tid).push(idx);
+        inner.spans.push(SpanRec { name, detail: detail.to_string(), tid, start_us: ts, dur_us: None });
+        inner.open.entry(std::thread::current().id()).or_default().push(idx);
     }
 
     fn span_exit(&self, name: &'static str) {
         let ts = self.now_us();
-        let tid = self.tid();
-        let mut inner = self.shard(tid);
-        match inner.open_stack(tid).pop() {
+        let mut inner = self.lock();
+        let stack = inner.open.entry(std::thread::current().id()).or_default();
+        match stack.pop() {
             None => inner.errors.push(TelemetryError::ExitWithoutEnter { name: name.to_string() }),
             Some(idx) => {
                 let expected = inner.spans[idx].name;
@@ -714,11 +605,11 @@ impl Telemetry for Recorder {
             return;
         }
         let ts = self.now_us();
-        let tid = self.tid();
-        let mut inner = self.shard(tid);
+        let mut inner = self.lock();
         inner.totals[counter.index()] += delta;
+        let total = inner.totals[counter.index()];
         if inner.series.len() < SERIES_CAP {
-            inner.series.push(CounterPoint { counter, ts_us: ts, delta });
+            inner.series.push(CounterPoint { counter, ts_us: ts, delta, total });
         } else {
             inner.series_dropped += 1;
         }
@@ -726,11 +617,10 @@ impl Telemetry for Recorder {
 
     fn event(&self, name: &'static str, detail: &str) {
         let ts = self.now_us();
-        let tid = self.tid();
-        let detail = detail.to_string();
-        let mut inner = self.shard(tid);
+        let mut inner = self.lock();
+        let tid = inner.tid();
         if inner.events.len() < EVENT_CAP {
-            inner.events.push(EventRec { name, detail, tid, ts_us: ts });
+            inner.events.push(EventRec { name, detail: detail.to_string(), tid, ts_us: ts });
         } else {
             inner.events_dropped += 1;
         }
@@ -1155,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threads_merge_into_exact_totals_and_tracks() {
+    fn parallel_threads_record_exact_totals_and_tracks() {
         let rec = Recorder::new();
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
@@ -1175,8 +1065,7 @@ mod tests {
         assert!(rec.open_span_stack().is_empty());
         let json = rec.chrome_trace().expect("balanced spans export");
         validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
-        // Running totals are recomputed over the merged order, so the
-        // track ends at the exact total.
+        // The counter track ends at the exact total.
         assert!(json.contains("\"args\":{\"value\":800}"), "{json}");
         let last = rec.recent_activity(1);
         assert!(last[0].contains("(total 800)"), "{last:?}");
